@@ -279,11 +279,11 @@ func BenchmarkVectorBatch(b *testing.B) {
 }
 
 // BenchmarkSweepLocal measures the sweep coordinator end to end with
-// in-process workers: plan (rank-range split), execute (the JSON-lines unit
-// protocol per worker), merge (BatchStats.Merge over completion order). One
-// op sweeps all 32 768 labelled n = 6 graphs; the delta against
-// BenchmarkRunBatch's gray variants is the protocol + coordination overhead
-// a subprocess fleet pays on top of the raw batch engine.
+// in-process workers: plan (rank-range split), execute (each unit by direct
+// call on its slot's goroutine), merge (BatchStats.Merge over completion
+// order). One op sweeps all 32 768 labelled n = 6 graphs; the delta against
+// BenchmarkRunBatch's gray variants is the coordination overhead a local
+// sweep pays on top of the raw batch engine.
 func BenchmarkSweepLocal(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("hash16/n=6/w=%d", workers), func(b *testing.B) {
@@ -309,8 +309,9 @@ func BenchmarkSweepLocal(b *testing.B) {
 // same plan, but units round-trip through `serve` daemons on loopback TCP
 // (one daemon per worker slot, handshake included in the connection setup
 // but amortized over the run). The delta against SweepLocal is the price of
-// crossing a socket instead of a pipe — the number that says what a
-// cross-machine fleet pays per unit before real network latency is added.
+// the JSON codec and a socket instead of a direct call — the number that says
+// what a cross-machine fleet pays per unit before real network latency is
+// added.
 func BenchmarkSweepTCP(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("hash16/n=6/w=%d", workers), func(b *testing.B) {

@@ -15,9 +15,9 @@
 //
 // The sweep subcommand is the batch layer at fleet scale: it plans a
 // protocol × source sweep (Gray-code rank ranges of the labelled-graph
-// space, or generated family corpora), executes it across worker
-// subprocesses, and merges the per-shard stats — with an optional resumable
-// checkpoint manifest:
+// space, or generated family corpora), executes it in-process on -workers
+// concurrent slots, and merges the per-shard stats — with an optional
+// resumable checkpoint manifest:
 //
 //	refereesim sweep -protocol hash16 -n 8 -workers 8
 //	refereesim sweep -protocol oracle-conn -decide -n 6 -workers 2
@@ -33,7 +33,7 @@
 // fleets (';'-separated) and failing over within a fleet (','-separated):
 //
 //	refereesim serve -listen :7171                 # on every worker machine
-//	refereesim serve -listen :7171 -parallel 8     # one big machine stands in for 8 workers
+//	refereesim serve -listen :7171 -parallel 8     # one pool of 8 workers shared by every connection
 //	refereesim sweep -protocol hash16 -n 8 -connect host1:7171,host2:7171
 //	refereesim sweep -protocol hash16 -n 8 -connect 'rack1:7171;rack2:7171' -manifest n8.manifest
 //	refereesim sweep -protocol oracle-conn -decide -n 9 -ranks 34359738368:34493956096 -connect host1:7171

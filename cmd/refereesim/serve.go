@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -26,14 +27,15 @@ import (
 // With -http it additionally serves the sweep-as-a-service job API
 // (internal/service): POST /jobs takes the same plan JSON `sweep -dump-plan`
 // emits, results are cached by plan fingerprint, and GET /metrics exposes
-// the counters. Both surfaces execute over ONE shared pool of -parallel
-// workers, so total execution concurrency stays bounded however work
-// arrives.
+// the counters. This function owns the process's one execution pool of
+// -parallel workers: both surfaces execute over it, so total execution
+// concurrency stays bounded however work arrives, and it is closed only
+// after both have drained.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", ":7171", "TCP address to accept sweep coordinators on (host:port; port 0 picks a free one)")
 	httpAddr := fs.String("http", "", "also serve the HTTP job API on this address (host:port; port 0 picks a free one); empty disables it")
-	parallel := fs.Int("parallel", 1, "shared execution pool size: units from ALL accepted connections fan out over k pool workers (splittable units run k-way parallel), so one daemon stands in for k single-threaded ones; 1 executes each connection's units on its own goroutine")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "execution pool size: units from ALL accepted connections and HTTP jobs share k pool workers (splittable units run k-way parallel), so one daemon stands in for k single-threaded ones and never executes more than k shards at once")
 	jobs := fs.Int("jobs", 2, "with -http: concurrent job executions (queue beyond that, 429 beyond the queue)")
 	queueDepth := fs.Int("queue", 16, "with -http: admission queue depth before submissions are rejected 429")
 	cacheSize := fs.Int("cache", 256, "with -http: result cache entries (keyed by plan fingerprint; negative disables)")
@@ -44,10 +46,12 @@ func runServe(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	exec := sweep.NewExecutor(*parallel)
+	defer exec.Close()
 	// The resolved address on stdout, flushed before serving, so scripts
 	// that started us with port 0 can scrape where to connect.
 	fmt.Printf("listening %s protocol=v%d registry=%.12s parallel=%d\n",
-		l.Addr(), sweep.ProtocolVersion, engine.RegistryFingerprint(), *parallel)
+		l.Addr(), sweep.ProtocolVersion, engine.RegistryFingerprint(), exec.Workers())
 	os.Stdout.Sync()
 
 	var logw io.Writer
@@ -55,21 +59,16 @@ func runServe(args []string) {
 		logw = os.Stderr
 	}
 
-	// With -http the pool is created here and shared by both surfaces;
-	// without it Serve keeps its original owned-pool behavior.
-	serveOpts := sweep.ServeOptions{Log: logw, Parallel: *parallel}
+	serveOpts := sweep.ServeOptions{Log: logw, Executor: exec}
 	var (
-		svc  *service.Server
-		hs   *http.Server
-		exec *sweep.Executor
+		svc *service.Server
+		hs  *http.Server
 	)
 	if *httpAddr != "" {
 		hl, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		exec = sweep.NewExecutor(*parallel)
-		serveOpts.Executor = exec
 		svc = service.New(service.Config{
 			Executor:   exec,
 			MaxJobs:    *jobs,
@@ -93,13 +92,13 @@ func runServe(args []string) {
 		log.Fatal(err)
 	}
 	if svc != nil {
-		// TCP surface drained; now the HTTP one: stop accepting, let
-		// running jobs finish (Close waits), then close the shared pool.
+		// TCP surface drained; now the HTTP one: stop accepting and let
+		// running jobs finish (Close waits). The deferred exec.Close runs
+		// after both.
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		hs.Shutdown(shutdownCtx)
 		cancel()
 		svc.Close()
-		exec.Close()
 	}
 	if ctx.Err() != nil {
 		fmt.Println("serve: drained cleanly after signal")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
@@ -20,10 +19,10 @@ import (
 )
 
 // runSweep is the `refereesim sweep` coordinator: it plans a rank-range,
-// family or disk-corpus sweep, fans the units out over a worker fleet —
-// subprocesses of this same binary in the hidden -worker mode, or remote
-// `refereesim serve` daemons via -connect — merges their stats, and
-// checkpoints progress to an optional resumable manifest.
+// family or disk-corpus sweep, executes the units — in this process on
+// -workers concurrent slots, or on remote `refereesim serve` daemons via
+// -connect — merges their stats, and checkpoints progress to an optional
+// resumable manifest.
 func runSweep(args []string) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	protocol := fs.String("protocol", "hash16", "registered protocol to sweep (see refereesim -list)")
@@ -32,11 +31,11 @@ func runSweep(args []string) {
 	k := fs.Int("k", 0, "protocol structural parameter (0 = registration default)")
 	seed := fs.Int64("seed", 1, "public-randomness / corpus seed")
 	decide := fs.Bool("decide", false, "run the referee's decision on every transcript and tally verdicts")
-	workers := fs.Int("workers", runtime.NumCPU(), "worker subprocesses")
+	workers := fs.Int("workers", runtime.NumCPU(), "concurrent in-process worker slots (ignored with -connect)")
 	units := fs.Int("units", 0, "work units to split the sweep into (0 = 4 per worker)")
 	ranks := fs.String("ranks", "", "sub-range lo:hi of the sweep space (default: all of it): Gray-code ranks for the labelled enumeration, class indices for -source canon; lets a fleet split the space across machines")
 	source := fs.String("source", "gray", "enumeration source: gray sweeps every labelled graph, canon sweeps one representative per isomorphism class with orbit weights (identical merged totals, ~2.5e5x fewer evaluations at n=9)")
-	connect := fs.String("connect", "", "drive remote `refereesim serve` daemons instead of subprocesses: fleets separated by ';', addresses by ',' (e.g. host1:7171,host1:7172;host2:7171); repeat an address for extra streams")
+	connect := fs.String("connect", "", "drive remote `refereesim serve` daemons instead of executing in-process: fleets separated by ';', addresses by ',' (e.g. host1:7171,host1:7172;host2:7171); repeat an address for extra streams")
 	corpusPath := fs.String("corpus", "", "sweep a word-packed edge-mask corpus file (written by graphgen -emit) instead of the labelled-graph enumeration")
 	family := fs.String("gen", "", "sweep a generated family (gen.ByName name) instead of the labelled-graph enumeration")
 	count := fs.Int("count", 10000, "graphs to generate in -gen mode")
@@ -50,17 +49,7 @@ func runSweep(args []string) {
 	chaosSpec := fs.String("chaos", "", "inject deterministic faults into the transport: key=value pairs, e.g. seed=7,drop=0.05,hang=0.02,hangfor=3s,corrupt=0.01 (keys: seed, drop, lose, hang, delay, corrupt, dialfail, hangfor, delayfor)")
 	dumpPlan := fs.Bool("dump-plan", false, "print the plan JSON and exit without executing")
 	verbose := fs.Bool("v", false, "log coordinator progress to stderr")
-	inProcess := fs.Bool("inprocess", false, "run workers as goroutines instead of subprocesses (debugging)")
-	worker := fs.Bool("worker", false, "internal: serve the JSON-lines worker protocol on stdin/stdout")
 	fs.Parse(args)
-
-	if *worker {
-		// The hidden execute-stage mode the coordinator spawns.
-		if err := sweep.ServeWorker(os.Stdin, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	shard := engine.ShardSpec{
 		Protocol: *protocol,
@@ -74,9 +63,6 @@ func runSweep(args []string) {
 
 	var fleets []sweep.Fleet
 	if *connect != "" {
-		if *inProcess {
-			log.Fatal("-connect and -inprocess are mutually exclusive")
-		}
 		var perr error
 		fleets, perr = sweep.ParseFleets(*connect)
 		if perr != nil {
@@ -179,17 +165,8 @@ func runSweep(args []string) {
 		}
 		opts.Chaos = chaos
 	}
-	if len(fleets) == 0 && !*inProcess {
-		self, err := os.Executable()
-		if err != nil {
-			log.Fatalf("locate own binary for worker spawning: %v", err)
-		}
-		opts.Command = []string{self, "sweep", "-worker"}
-	}
-	var logw io.Writer
 	if *verbose {
-		logw = os.Stderr
-		opts.Log = logw
+		opts.Log = os.Stderr
 	}
 
 	start := time.Now()

@@ -13,8 +13,8 @@ import (
 // scheduler name), and a source of graphs (by source-kind name plus
 // parameters). Every field is data, not code, so plans serialize to JSON and
 // cross process or machine boundaries — the sweep coordinator in
-// internal/sweep hands single ShardSpecs to worker subprocesses, which turn
-// them back into running batches via ExecuteShard.
+// internal/sweep hands single ShardSpecs to in-process slots or remote serve
+// daemons, which turn them back into running batches via ExecuteShard.
 //
 // The *execute* stage is ExecuteShard below plus the source-kind registry:
 // packages that own source constructors (internal/collide for Gray-code rank

@@ -51,14 +51,12 @@ import (
 // Config sizes the service. The zero value is usable: every field has a
 // default chosen for a small single-machine deployment.
 type Config struct {
-	// Executor, when non-nil, is the shared execution pool jobs run over —
-	// typically the same pool the TCP serve daemon executes units on, so
-	// both surfaces contend for one bounded concurrency. The caller owns
-	// its lifecycle. Nil makes the server create (and close) its own pool
-	// of Parallel workers.
+	// Executor is the pool jobs execute over — typically the same pool the
+	// TCP serve daemon executes units on, so both surfaces contend for one
+	// bounded concurrency. The caller owns it: the server never creates or
+	// closes a pool. Nil executes each job's units one at a time on its
+	// runner's goroutine.
 	Executor *sweep.Executor
-	// Parallel sizes the owned pool when Executor is nil (default 1).
-	Parallel int
 	// MaxJobs is how many jobs execute concurrently (default 2). Each
 	// running job drives up to the pool's worker count of units at once,
 	// but total shard concurrency is still capped by the pool.
@@ -86,9 +84,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Parallel < 1 {
-		c.Parallel = 1
-	}
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 2
 	}
@@ -251,11 +246,10 @@ func (j *job) view(cached, coalesced bool) JobView {
 // Server is the sweep-as-a-service front end. Create with New, mount
 // Handler on an http server, Close to drain.
 type Server struct {
-	cfg     Config
-	exec    *sweep.Executor
-	ownExec bool
-	log     io.Writer
-	m       *metrics
+	cfg  Config
+	exec *sweep.Executor
+	log  io.Writer
+	m    *metrics
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -285,10 +279,6 @@ func New(cfg Config) *Server {
 		queue:    make(chan *job, cfg.QueueDepth),
 		stop:     make(chan struct{}),
 	}
-	if s.exec == nil {
-		s.exec = sweep.NewExecutor(cfg.Parallel)
-		s.ownExec = true
-	}
 	s.wg.Add(cfg.MaxJobs)
 	for i := 0; i < cfg.MaxJobs; i++ {
 		go s.runner()
@@ -297,8 +287,8 @@ func New(cfg Config) *Server {
 }
 
 // Close stops accepting and running new jobs, waits for in-flight jobs to
-// finish, fails whatever was still queued, and closes an owned pool. A
-// shared (caller-supplied) Executor is left open.
+// finish, and fails whatever was still queued. The Executor stays open: its
+// owner closes it once every surface sharing it has drained.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -318,9 +308,6 @@ func (s *Server) Close() {
 			delete(s.inflight, j.fingerprint)
 			s.mu.Unlock()
 		default:
-			if s.ownExec {
-				s.exec.Close()
-			}
 			return
 		}
 	}
@@ -596,9 +583,9 @@ func (s *Server) runner() {
 }
 
 // runJob executes one admitted job's plan through sweep.Run over the shared
-// pool, then publishes the outcome: terminal job state first, then cache
-// insertion and singleflight release, so no POST can observe a cached or
-// coalesced job that is not yet terminal-consistent.
+// pool, by direct call, then publishes the outcome: terminal job state
+// first, then cache insertion and singleflight release, so no POST can
+// observe a cached or coalesced job that is not yet terminal-consistent.
 func (s *Server) runJob(j *job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -610,7 +597,7 @@ func (s *Server) runJob(j *job) {
 	}
 	start := time.Now()
 	rep, err := sweep.Run(j.plan, sweep.Options{
-		Transport:   poolTransport{s},
+		Transport:   timedTransport{sweep.InProcess{Executor: s.exec}, s.m.unitLatency},
 		Workers:     workers,
 		Retries:     s.cfg.Retries,
 		UnitTimeout: s.cfg.UnitTimeout,
@@ -640,28 +627,23 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 }
 
-// poolTransport adapts the shared sweep.Executor into the coordinator's
-// Transport interface: every "connection" round-trips units straight into
-// the pool, timing each for the unit-latency histogram. The pool's
-// close-guard (executor.go) makes a round-trip racing service shutdown an
-// in-band unit error, which the coordinator charges to the retry budget.
-type poolTransport struct{ s *Server }
-
-// Name implements sweep.Transport.
-func (p poolTransport) Name() string { return "service-pool" }
-
-// Dial implements sweep.Transport.
-func (p poolTransport) Dial() (sweep.Conn, error) { return poolConn(p), nil }
-
-type poolConn struct{ s *Server }
-
-// RoundTrip implements sweep.Conn.
-func (c poolConn) RoundTrip(u sweep.Unit) (sweep.Result, error) {
-	start := time.Now()
-	res := c.s.exec.Execute(u)
-	c.s.m.unitLatency.observe(time.Since(start))
-	return res, nil
+// timedTransport is the local transport with each unit's round trip timed
+// for the unit-latency histogram. Like InProcess it is its own connection.
+// The pool's close-guard (executor.go) makes a round trip racing the owner's
+// Close an in-band unit error, which the coordinator charges to the retry
+// budget.
+type timedTransport struct {
+	sweep.InProcess
+	latency *histogram
 }
 
-// Close implements sweep.Conn.
-func (c poolConn) Close() error { return nil }
+// Dial implements sweep.Transport.
+func (t timedTransport) Dial() (sweep.Conn, error) { return t, nil }
+
+// RoundTrip implements sweep.Conn.
+func (t timedTransport) RoundTrip(u sweep.Unit) (sweep.Result, error) {
+	start := time.Now()
+	res, err := t.InProcess.RoundTrip(u)
+	t.latency.observe(time.Since(start))
+	return res, err
+}

@@ -31,13 +31,17 @@ func init() {
 
 // --- harness -------------------------------------------------------------
 
-func newTestService(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestService starts a service over a workers-sized pool the test owns,
+// closed after the service — the order cmd/refereesim shuts down in.
+func newTestService(t *testing.T, workers int, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	cfg.Executor = sweep.NewExecutor(workers)
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		cfg.Executor.Close()
 	})
 	return s, ts
 }
@@ -209,7 +213,7 @@ func statsJSON(t *testing.T, raw []byte) string {
 // A submitted plan must execute to the same merged stats a from-scratch
 // recomputation produces, with progress accounting covering every unit.
 func TestServiceJobLifecycle(t *testing.T) {
-	_, ts := newTestService(t, Config{Parallel: 2})
+	_, ts := newTestService(t, 2, Config{})
 	plan := grayPlan(5, 0, 1<<10, 4)
 	want := recompute(t, plan)
 
@@ -239,7 +243,7 @@ func TestServiceJobLifecycle(t *testing.T) {
 // — no new execution — and its stats are byte-identical to both the first
 // job's response and an independent recomputation.
 func TestServiceCacheHitByteIdentical(t *testing.T) {
-	s, ts := newTestService(t, Config{Parallel: 2})
+	s, ts := newTestService(t, 2, Config{})
 	plan := grayPlan(5, 0, 1<<10, 3)
 	want := recompute(t, plan)
 
@@ -281,7 +285,7 @@ func TestServiceCacheHitByteIdentical(t *testing.T) {
 // Fingerprint normalization: two JSON encodings of the same plan — scrambled
 // field order, explicit zero values — must land on one cache entry.
 func TestServiceFingerprintNormalization(t *testing.T) {
-	_, ts := newTestService(t, Config{Parallel: 1})
+	_, ts := newTestService(t, 1, Config{})
 	canonical := []byte(`{"shards":[{"protocol":"hash16","source":{"kind":"gray","n":5,"lo":0,"hi":1024}}]}`)
 	scrambled := []byte(`{"shards":[{"source":{"hi":1024,"seed":0,"lo":0,"n":5,"kind":"gray"},"decide":false,"sched":"","protocol":"hash16"}]}`)
 
@@ -303,7 +307,7 @@ func TestServiceFingerprintNormalization(t *testing.T) {
 // The singleflight guarantee: N concurrent identical submissions execute the
 // plan exactly once — one admitted job, N-1 coalesced onto it.
 func TestServiceSingleflightExecutesOnce(t *testing.T) {
-	s, ts := newTestService(t, Config{Parallel: 1, MaxJobs: 2})
+	s, ts := newTestService(t, 1, Config{MaxJobs: 2})
 	plan := slowPlan(5, 1<<10, 150)
 	const clients = 8
 
@@ -361,7 +365,7 @@ func TestServiceSingleflightExecutesOnce(t *testing.T) {
 // a further distinct submission is rejected 429 with a Retry-After hint —
 // and succeeds once capacity frees up.
 func TestServiceAdmissionControl(t *testing.T) {
-	_, ts := newTestService(t, Config{Parallel: 1, MaxJobs: 1, QueueDepth: 1})
+	_, ts := newTestService(t, 1, Config{MaxJobs: 1, QueueDepth: 1})
 
 	code, running, _ := postPlan(t, ts, slowPlan(5, 1<<10, 300))
 	if code != http.StatusAccepted {
@@ -404,7 +408,7 @@ func TestServiceAdmissionControl(t *testing.T) {
 // The cache is bounded: filling it past CacheSize evicts the least recently
 // used entry, whose next submission runs again instead of hitting.
 func TestServiceCacheLRUEviction(t *testing.T) {
-	s, ts := newTestService(t, Config{Parallel: 1, CacheSize: 2})
+	s, ts := newTestService(t, 1, Config{CacheSize: 2})
 	plans := []engine.Plan{
 		grayPlan(5, 0, 1<<9, 1),
 		grayPlan(5, 1<<9, 1<<10, 1),
@@ -444,7 +448,7 @@ func TestServiceCacheLRUEviction(t *testing.T) {
 
 // Submissions the registries cannot execute are turned away at the door.
 func TestServiceRejectsInvalidPlans(t *testing.T) {
-	_, ts := newTestService(t, Config{Parallel: 1})
+	_, ts := newTestService(t, 1, Config{})
 	cases := []struct {
 		name string
 		body string
@@ -473,7 +477,7 @@ func TestServiceRejectsInvalidPlans(t *testing.T) {
 
 // ?watch=1 streams NDJSON snapshots ending with the terminal one.
 func TestServiceWatchStream(t *testing.T) {
-	_, ts := newTestService(t, Config{Parallel: 1})
+	_, ts := newTestService(t, 1, Config{})
 	code, v, _ := postPlan(t, ts, slowPlan(5, 1<<10, 50))
 	if code != http.StatusAccepted {
 		t.Fatalf("POST = %d, want 202", code)
@@ -503,8 +507,8 @@ func TestServiceWatchStream(t *testing.T) {
 	}
 }
 
-// A server over a caller-supplied executor must not close it on shutdown —
-// that pool is shared with the TCP serve surface.
+// The server must not close the caller's executor on shutdown — that pool
+// is shared with the TCP serve surface.
 func TestServiceSharedExecutorSurvivesClose(t *testing.T) {
 	exec := sweep.NewExecutor(2)
 	defer exec.Close()
@@ -529,7 +533,7 @@ func TestServiceSharedExecutorSurvivesClose(t *testing.T) {
 // The metrics page is well-formed Prometheus text: every series the docs
 // promise is present, and the histograms carry observations.
 func TestServiceMetricsPage(t *testing.T) {
-	_, ts := newTestService(t, Config{Parallel: 1})
+	_, ts := newTestService(t, 1, Config{})
 	code, v, _ := postPlan(t, ts, grayPlan(5, 0, 1<<10, 2))
 	if code != http.StatusAccepted {
 		t.Fatalf("POST = %d, want 202", code)
@@ -656,5 +660,25 @@ func TestHistogramQuantileAndFormat(t *testing.T) {
 			t.Errorf("bucket counts not cumulative at %q", line)
 		}
 		prev = n
+	}
+}
+
+// Without an executor a job's units run one at a time by direct call on the
+// runner's goroutine — same stats, and the pool gauge reports one worker.
+func TestServiceWithoutExecutor(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	plan := grayPlan(5, 0, 1<<10, 3)
+	code, v, _ := postPlan(t, ts, plan)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d, want 202", code)
+	}
+	final, _ := waitDone(t, ts, v.ID)
+	if final.Status != "done" || final.Stats == nil || *final.Stats != recompute(t, plan) {
+		t.Errorf("job %+v, want done with the recomputed stats", final)
+	}
+	if got := metricValue(t, ts, "refereeservice_pool_workers"); got != 1 {
+		t.Errorf("pool_workers = %v, want 1", got)
 	}
 }

@@ -117,11 +117,7 @@ type slowUnitTransport struct {
 func (s *slowUnitTransport) Name() string { return "slow-unit" }
 
 func (s *slowUnitTransport) Dial() (Conn, error) {
-	inner, err := InProcess{}.Dial()
-	if err != nil {
-		return nil, err
-	}
-	return &slowUnitConn{inner: inner, t: s}, nil
+	return &slowUnitConn{inner: InProcess{}, t: s}, nil
 }
 
 type slowUnitConn struct {

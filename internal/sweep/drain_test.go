@@ -42,20 +42,22 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// drainDaemon starts a Serve daemon armed with a cancellable drain context
-// and returns its address, cancel func, log buffer, and exit channel.
-func drainDaemon(t *testing.T, parallel int) (string, context.CancelFunc, *syncBuffer, chan error) {
+// drainDaemon starts a Serve daemon over a workers-sized pool the test owns,
+// armed with a cancellable drain context, and returns its address, cancel
+// func, log buffer, and exit channel.
+func drainDaemon(t *testing.T, workers int) (string, context.CancelFunc, *syncBuffer, chan error) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := NewExecutor(workers)
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() { cancel(); l.Close() })
+	t.Cleanup(func() { cancel(); l.Close(); pool.Close() })
 	logw := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- Serve(l, ServeOptions{Log: logw, Parallel: parallel, Context: ctx})
+		done <- Serve(l, ServeOptions{Log: logw, Executor: pool, Context: ctx})
 	}()
 	return l.Addr().String(), cancel, logw, done
 }
@@ -237,5 +239,37 @@ func TestServeDrainFlushesInFlightUnit(t *testing.T) {
 	// rather than hang.
 	if _, err := conn.RoundTrip(unit); err == nil {
 		t.Error("round-trip on a drained connection succeeded")
+	}
+}
+
+// A drain hands the pool back to its owner: after Serve returns the caller's
+// executor still runs units, so a process sharing it with the job service
+// can finish that surface's jobs before closing it.
+func TestServeDrainLeavesCallerPoolOpen(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewExecutor(2)
+	defer pool.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- Serve(l, ServeOptions{Executor: pool, Context: ctx}) }()
+	plan := grayPlan(t, "hash16", 5, 4, false)
+	if _, err := Run(plan, Options{Dial: []string{l.Addr().String()}}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("drained Serve returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after context cancel")
+	}
+	res := pool.Execute(Unit{ID: 2, Spec: plan.Shards[0]})
+	if res.Err != "" || res.Stats.Graphs == 0 {
+		t.Errorf("caller's pool after drain: %+v, want a clean execution", res)
 	}
 }

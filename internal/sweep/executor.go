@@ -9,16 +9,23 @@ import (
 	"refereenet/internal/engine"
 )
 
-// Executor is the shared execution pool behind `refereesim serve -parallel`:
-// a fixed set of worker goroutines that every accepted connection's units
-// drain through. A unit whose source kind has a registered splitter
-// (engine.SplitShard — "gray" rank ranges, explicit "file" record ranges) is
-// cut into up to `workers` sub-shards that execute concurrently on the pool
-// and merge; unsplittable units occupy one pool slot. EVERY execution —
-// split or not — goes through the pool, so total concurrent shard
-// executions across all connections never exceed the pool size: one big
-// machine stands in for k single-threaded daemons without k processes, and
-// without oversubscription when more than k coordinators dial in.
+// Executor is a process's one execution pool: a fixed set of worker
+// goroutines that every surface executing units drains through — the
+// `refereesim serve` daemon's connections, the HTTP job service's jobs, and
+// sweep.Run over InProcess. The caller creates it, shares it between those
+// surfaces and closes it once they have drained; nothing in this package
+// creates or closes a pool on its own. A unit whose source kind has a
+// registered splitter (engine.SplitShard — "gray" rank ranges, explicit
+// "file" record ranges) is cut into up to `workers` sub-shards that execute
+// concurrently on the pool and merge; unsplittable units occupy one pool
+// slot. Every execution — split or not — goes through the pool, so total
+// concurrent shard executions across all surfaces never exceed the pool
+// size: one big machine stands in for k single-threaded daemons without k
+// processes, and without oversubscription when more than k coordinators dial
+// in.
+//
+// A nil *Executor is the pool-less executor: Execute runs the unit on the
+// calling goroutine by direct call, and Workers reports 1.
 //
 // Merged results are byte-identical to single-threaded execution:
 // sub-shards cover disjoint slices of exactly the unit's stream, and
@@ -90,8 +97,13 @@ func NewExecutor(workers int) *Executor {
 	return e
 }
 
-// Workers returns the pool size.
-func (e *Executor) Workers() int { return e.workers }
+// Workers returns the pool size; 1 for the nil executor.
+func (e *Executor) Workers() int {
+	if e == nil {
+		return 1
+	}
+	return e.workers
+}
 
 // Close stops the pool's goroutines and waits for in-flight sub-shards to
 // finish. It is idempotent and safe to call concurrently with Execute: the
@@ -104,17 +116,19 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// Execute runs one unit over the pool and returns its Result — the same
-// contract as the single-threaded executeUnit, concurrency aside. Execute is
-// safe to call from any number of connection goroutines at once: sub-shard
-// submission interleaves fairly on the shared task channel (pool workers
-// never submit, so submission always drains). If any sub-shard fails, the
-// unit fails — partial stats must never merge into a coordinator's totals —
-// and its remaining sub-shards are abandoned rather than executed, so a
-// doomed unit cannot starve the other connections' work. Execute racing or
-// following Close yields a Result whose Err reports the closed pool, never a
-// panic.
+// Execute runs one unit over the pool and returns its Result; the nil
+// executor runs it on the calling goroutine instead. Execute is safe to call
+// from any number of goroutines at once: sub-shard submission interleaves
+// fairly on the shared task channel (pool workers never submit, so
+// submission always drains). If any sub-shard fails, the unit fails —
+// partial stats must never merge into a coordinator's totals — and its
+// remaining sub-shards are abandoned rather than executed, so a doomed unit
+// cannot starve the other surfaces' work. Execute racing or following Close
+// yields a Result whose Err reports the closed pool, never a panic.
 func (e *Executor) Execute(u Unit) Result {
+	if e == nil {
+		return executeUnit(u)
+	}
 	parts := engine.SplitShard(u.Spec, e.workers)
 	out := make(chan execOutcome, len(parts))
 	var abandon atomic.Bool
@@ -155,9 +169,17 @@ func (e *Executor) Execute(u Unit) Result {
 	return unitResult(u.ID, total, nil)
 }
 
-// executeSpec is one shard through the engine with the daemon's panic
-// guarantee: a poisoned spec (a protocol bug, a corpus that lies about
-// itself) becomes an error, never a dead worker goroutine.
+// executeUnit runs one unit through the engine on the calling goroutine.
+func executeUnit(u Unit) Result {
+	st, err := executeSpec(u.Spec)
+	return unitResult(u.ID, st, err)
+}
+
+// executeSpec is one shard through the engine with the panic guarantee: a
+// poisoned spec (a protocol bug, a corpus that lies about itself) becomes the
+// unit's error, never a dead goroutine — a long-lived daemon must outlive any
+// single poisoned unit, and the coordinator's retry accounting, not a crash,
+// decides what a repeated failure means.
 func executeSpec(spec engine.ShardSpec) (st engine.BatchStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {

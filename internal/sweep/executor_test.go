@@ -27,10 +27,15 @@ func init() {
 	})
 }
 
-// The `serve -parallel` headline: a unit executed over the shared pool must
-// produce stats byte-identical to the single-threaded executeUnit, for
-// splittable and unsplittable sources alike, at any pool size.
+// The shared pool's headline: a unit executed over the pool must produce
+// stats byte-identical to the nil executor's direct call on the calling
+// goroutine, for splittable and unsplittable sources alike, at any pool
+// size.
 func TestExecutorMatchesSingleThreaded(t *testing.T) {
+	var direct *Executor
+	if w := direct.Workers(); w != 1 {
+		t.Errorf("nil executor reports %d workers, want 1", w)
+	}
 	units := []Unit{
 		{ID: 0, Spec: engine.ShardSpec{
 			Protocol: "hash16",
@@ -49,7 +54,7 @@ func TestExecutorMatchesSingleThreaded(t *testing.T) {
 		}},
 	}
 	for _, u := range units {
-		want := executeUnit(u)
+		want := direct.Execute(u)
 		if want.Err != "" {
 			t.Fatalf("unit %d: single-threaded reference failed: %s", u.ID, want.Err)
 		}
@@ -136,15 +141,17 @@ func TestExecutorBadUnitErrorsNotPanics(t *testing.T) {
 	}
 }
 
-// End to end through the TCP daemon: Serve with Parallel must hand
+// End to end through the TCP daemon: Serve over a caller's pool must hand
 // coordinators totals identical to a single-threaded sweep of the same plan.
 func TestServeParallelMatchesSweep(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := NewExecutor(4)
+	defer pool.Close()
 	done := make(chan error, 1)
-	go func() { done <- Serve(l, ServeOptions{Parallel: 4}) }()
+	go func() { done <- Serve(l, ServeOptions{Executor: pool}) }()
 
 	plan := grayPlan(t, "oracle-conn", 6, 8, true)
 	want, err := Run(plan, Options{Workers: 1})

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -21,28 +23,19 @@ type ServeOptions struct {
 	// complete the handshake before it is dropped (default 10s) — an
 	// accidental connection from a port scanner must not pin a goroutine.
 	HandshakeTimeout time.Duration
-	// Parallel, when ≥ 2, executes units over a shared Parallel-worker
-	// Executor pool instead of single-threaded on each connection's
-	// goroutine: splittable units (gray rank ranges, file record ranges)
-	// fan out across the pool, and the pool is shared by every accepted
-	// connection, so the daemon's total execution concurrency is bounded by
-	// Parallel no matter how many coordinators dial in. ≤ 1 keeps the
-	// original one-unit-one-thread behavior.
-	Parallel int
 	// Context, when non-nil, arms graceful drain: when it is cancelled the
 	// daemon stops accepting, lets every in-flight unit finish and flush
 	// its result, closes the connections (coordinators see EOF and retry
-	// the rest of their plan elsewhere), closes the executor pool, logs a
-	// drain summary, and Serve returns nil. cmd/refereesim wires SIGTERM/
-	// SIGINT here so a fleet daemon can be restarted without eating the
-	// retry budget of every coordinator mid-unit.
+	// the rest of their plan elsewhere), logs a drain summary, and Serve
+	// returns nil. cmd/refereesim wires SIGTERM/SIGINT here so a fleet
+	// daemon can be restarted without eating the retry budget of every
+	// coordinator mid-unit.
 	Context context.Context
-	// Executor, when non-nil, is the shared pool every connection's units
-	// execute over — Parallel is ignored and the daemon neither creates nor
-	// closes the pool; the caller owns its lifecycle. This is how one
-	// process serves raw TCP units and HTTP job submissions (internal/
-	// service) over a single bounded pool, so total execution concurrency
-	// stays capped no matter how many surfaces accept work.
+	// Executor is the pool every connection's units execute over. The
+	// caller owns it: Serve never creates or closes a pool, so one process
+	// can serve raw TCP units and HTTP job submissions (internal/service)
+	// over a single bounded pool, and closes it once both have drained. Nil
+	// executes each connection's units on that connection's goroutine.
 	Executor *Executor
 }
 
@@ -54,20 +47,20 @@ var testHookPostHandshake func()
 // Serve runs the `refereesim serve` worker daemon: it accepts coordinator
 // connections on l until the listener closes, and serves each one on its own
 // goroutine — handshake first (a coordinator built from different registries
-// or a different wire version is turned away with a reason), then ServeWorker
-// over the connection until the coordinator hangs up. One daemon therefore
-// multiplexes any number of concurrent coordinator slots; a sweep that wants
-// two streams into one machine simply dials it twice — or, with
-// ServeOptions.Parallel, a single stream's units fan out over the daemon's
-// shared executor pool.
+// or a different wire version is turned away with a reason), then the
+// Unit/Result line protocol until the coordinator hangs up. One daemon
+// therefore multiplexes any number of concurrent coordinator slots; with
+// ServeOptions.Executor their units share, and split across, the caller's
+// pool.
 //
 // Serve returns nil when l is closed (the clean shutdown path) and the
 // accept error otherwise. Without ServeOptions.Context, in-flight
 // connections are not interrupted by shutdown: their goroutines finish
-// serving and exit on their own EOF (the shared executor pool, when there is
-// one, is released only after the last of them drains). With a Context,
-// cancellation triggers the graceful drain documented on ServeOptions, and
-// Serve returns only after the drain completes.
+// serving and exit on their own EOF, and a unit that reaches a pool the
+// caller has already closed comes back as an error Result the coordinator
+// retries elsewhere. With a Context, cancellation triggers the graceful drain
+// documented on ServeOptions, and Serve returns only after the drain
+// completes — the point from which the caller may close the pool.
 func Serve(l net.Listener, opts ServeOptions) error {
 	var mu sync.Mutex
 	logf := func(format string, args ...interface{}) {
@@ -91,47 +84,16 @@ func Serve(l net.Listener, opts ServeOptions) error {
 		live         = map[net.Conn]bool{}
 	)
 
-	exec := executeUnit
-	var pool *Executor
-	ownPool := false
-	switch {
-	case opts.Executor != nil:
-		pool = opts.Executor
-		exec = pool.Execute
-	case opts.Parallel > 1:
-		pool = NewExecutor(opts.Parallel)
-		ownPool = true
-		exec = pool.Execute
-	}
 	// The in-flight accounting wraps every execution so the drain summary
 	// can say how many units were finished rather than abandoned.
-	execWrapped := func(u Unit) Result {
+	exec := func(u Unit) Result {
 		inflight.Add(1)
-		res := exec(u)
+		res := opts.Executor.Execute(u)
 		inflight.Add(-1)
 		if draining.Load() {
 			drainedUnits.Add(1)
 		}
 		return res
-	}
-	// An owned pool must outlive every connection that can still submit to
-	// it. On the drain path it is closed synchronously before Serve
-	// returns; on the legacy path (listener closed externally, no Context)
-	// the close happens off to the side so Serve doesn't block shutdown on
-	// a slow coordinator. A caller-supplied Executor is never closed here.
-	releasePool := func(wait bool) {
-		if pool == nil || !ownPool {
-			return
-		}
-		if wait {
-			conns.Wait()
-			pool.Close()
-			return
-		}
-		go func() {
-			conns.Wait()
-			pool.Close()
-		}()
 	}
 
 	if ctx := opts.Context; ctx != nil {
@@ -163,14 +125,10 @@ func Serve(l net.Listener, opts ServeOptions) error {
 			if errors.Is(err, net.ErrClosed) {
 				if draining.Load() {
 					conns.Wait()
-					releasePool(true)
-					logf("serve: drained: %d in-flight units completed, pool closed", drainedUnits.Load())
-					return nil
+					logf("serve: drained: %d in-flight units completed", drainedUnits.Load())
 				}
-				releasePool(false)
 				return nil
 			}
-			releasePool(false)
 			return fmt.Errorf("sweep: accept: %w", err)
 		}
 		conns.Add(1)
@@ -217,7 +175,7 @@ func Serve(l net.Listener, opts ServeOptions) error {
 			}
 			liveMu.Unlock()
 			logf("serve: %s connected", addr)
-			if err := serveUnits(conn.in, nc, execWrapped); err != nil {
+			if err := serveUnits(conn.in, nc, exec); err != nil {
 				if draining.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
 					logf("serve: %s drained", addr)
 				} else {
@@ -228,4 +186,38 @@ func Serve(l net.Listener, opts ServeOptions) error {
 			logf("serve: %s done", addr)
 		}()
 	}
+}
+
+// serveUnits is the worker half of the line protocol on one connection: it
+// reads one Unit per line, executes it, and writes one Result line, flushed
+// per unit so the coordinator sees completions immediately. A spec that
+// fails to resolve or execute produces a Result with Err set — the
+// connection stays alive for the next unit. It reuses the handshake's
+// scanner, so a unit line the coordinator pipelined right behind its hello
+// is not lost in the scanner's buffer, and returns when the coordinator
+// hangs up or on an unrecoverable stream error.
+func serveUnits(in *bufio.Scanner, w io.Writer, exec func(Unit) Result) error {
+	out := bufio.NewWriter(w)
+	for in.Scan() {
+		line := in.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var u Unit
+		if err := json.Unmarshal(line, &u); err != nil {
+			return fmt.Errorf("sweep: malformed unit line: %w", err)
+		}
+		buf, err := json.Marshal(exec(u))
+		if err != nil {
+			return fmt.Errorf("sweep: encode result: %w", err)
+		}
+		buf = append(buf, '\n')
+		if _, err := out.Write(buf); err != nil {
+			return fmt.Errorf("sweep: write result: %w", err)
+		}
+		if err := out.Flush(); err != nil {
+			return fmt.Errorf("sweep: flush result: %w", err)
+		}
+	}
+	return in.Err()
 }

@@ -4,23 +4,25 @@
 //   - plan: an engine.Plan (built here by SplitGrayRanks/SplitFamily/
 //     SplitCorpus or by hand) names every shard declaratively — protocol,
 //     scheduler and source spec — and serializes to JSON;
-//   - execute: workers receive one Unit (plan index + ShardSpec) per JSON
-//     line, resolve it against the protocol and source-kind registries via
-//     engine.ExecuteShard, and answer with one Result line (ServeWorker);
+//   - execute: each Unit (plan index + ShardSpec) is resolved against the
+//     protocol and source-kind registries via engine.ExecuteShard — in this
+//     process by direct call, or by a `refereesim serve` daemon that
+//     receives it as one JSON line and answers with one Result line;
 //   - merge: the coordinator folds Results into run totals with
 //     engine.BatchStats.Merge, which is commutative and associative, so the
 //     nondeterministic completion order of a worker fleet cannot change the
 //     answer — a sharded sweep is byte-identical to the monolithic run.
 //
-// Workers are reached through a Transport (transport.go): in-process pipes,
-// one subprocess per slot (Options.Command, wired to the hidden
-// `refereesim sweep -worker` mode), or TCP connections to long-lived
-// `refereesim serve` daemons (Options.Dial), guarded by a handshake that
-// rejects a worker binary with a different wire version or registry lineup.
-// A daemon may additionally execute its units over a shared k-worker pool
-// (ServeOptions.Parallel, executor.go), splitting range-shaped sources
-// k ways via engine.SplitShard — invisible to the coordinator, since merged
-// stats are byte-identical to single-threaded execution.
+// Workers are reached through a Transport (transport.go): InProcess, which
+// executes units by direct call (the default), or TCP connections to
+// long-lived `refereesim serve` daemons (Options.Dial), guarded by a
+// handshake that rejects a worker binary with a different wire version or
+// registry lineup. Each process has at most one execution pool, an Executor
+// (executor.go) that the caller creates and shares between its surfaces —
+// the daemon's connections, the job service, InProcess sweeps. The pool
+// splits range-shaped sources k ways via engine.SplitShard, which is
+// invisible to the coordinator, since merged stats are byte-identical to
+// single-threaded execution.
 //
 // The coordinator is hardened against every failure mode a multi-hour fleet
 // run hits, not just dropped connections:
@@ -69,24 +71,19 @@ import (
 // Options configures a coordinator run.
 type Options struct {
 	// Workers is the number of concurrent worker slots; ≤ 0 means 1 (or,
-	// with Dial, one per address).
+	// with Dial, one per address). Without Dial or Transport each slot
+	// executes its units in this process by direct call (InProcess{}), so
+	// Workers is the sweep's concurrency.
 	Workers int
-	// Command is the argv of the worker subprocess, which must speak the
-	// ServeWorker line protocol on stdin/stdout (refereesim uses
-	// [self, "sweep", "-worker"]). Empty runs workers in-process: the same
-	// protocol over in-memory pipes, without process isolation.
-	Command []string
-	// Env is appended to the inherited environment of worker subprocesses.
-	Env []string
-	// Dial lists `refereesim serve` daemon addresses ("host:port"). When
-	// non-empty it overrides Command: each worker slot holds one TCP
-	// connection, slots spread round-robin over the addresses, and a slot
-	// whose daemon dies fails over to the others with backoff. List an
-	// address twice to hold two concurrent streams into one daemon.
+	// Dial lists `refereesim serve` daemon addresses ("host:port"). Each
+	// worker slot holds one TCP connection, slots spread round-robin over
+	// the addresses, and a slot whose daemon dies fails over to the others
+	// with backoff. List an address twice to hold two concurrent streams
+	// into one daemon.
 	Dial []string
-	// Transport, when non-nil, overrides Command and Dial entirely: every
-	// slot dials through it. It is the extension point for custom couplings
-	// (tests inject failing transports through it).
+	// Transport, when non-nil, overrides Dial: every slot dials through it.
+	// It is the extension point for custom couplings — InProcess over the
+	// caller's Executor, tests injecting failing transports.
 	Transport Transport
 	// Retries is how many times a failed unit is re-dispatched before the
 	// sweep is declared failed. Worker death counts as a failure of the
@@ -94,9 +91,8 @@ type Options struct {
 	Retries int
 	// Manifest is the checkpoint file path; empty disables checkpointing.
 	Manifest string
-	// Log receives coordinator progress lines and worker stderr; nil
-	// discards the former and routes the latter to os.Stderr. It need not
-	// be goroutine-safe: Run serializes all writes through one mutex.
+	// Log receives coordinator progress lines; nil discards them. It need
+	// not be goroutine-safe: Run serializes all writes through one mutex.
 	Log io.Writer
 
 	// UnitTimeout is the per-unit deadline: a round-trip exceeding it is
@@ -168,8 +164,6 @@ func (o Options) transport() (Transport, int, *Breaker) {
 		}
 		br := o.breaker()
 		return &TCP{Addrs: o.Dial, Log: o.Log, Seed: o.Seed, Breaker: br}, workers, br
-	case len(o.Command) > 0:
-		return Subprocess{Command: o.Command, Env: o.Env, Stderr: o.Log}, workers, nil
 	default:
 		return InProcess{}, workers, nil
 	}
@@ -656,7 +650,7 @@ func (c *coordinator) slotLoop(slot int) {
 }
 
 // wrapLog makes an arbitrary caller writer safe to share between
-// coordinators, transports and worker stderr copiers. Idempotent, so the
+// coordinators and transports. Idempotent, so the
 // entry points (Run, RunFleets) can wrap before building transports and
 // runGroups can wrap defensively again.
 func wrapLog(w io.Writer) io.Writer {
@@ -669,8 +663,8 @@ func wrapLog(w io.Writer) io.Writer {
 	return &syncWriter{w: w}
 }
 
-// syncWriter serializes writes from the coordinators and the worker stderr
-// copiers onto one underlying writer.
+// syncWriter serializes writes from the coordinators and transports onto one
+// underlying writer.
 type syncWriter struct {
 	mu sync.Mutex
 	w  io.Writer

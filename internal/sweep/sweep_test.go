@@ -16,26 +16,11 @@ import (
 	"refereenet/internal/engine"
 	"refereenet/internal/graph"
 
-	// Populate the protocol registry for in-process and re-exec'd workers.
+	// Populate the protocol registry for in-process and daemon workers.
 	_ "refereenet/internal/core"
 	_ "refereenet/internal/gen"
 	_ "refereenet/internal/sketch"
 )
-
-// workerEnv re-execs this test binary as a sweep worker: the subprocess
-// transport tested against the real protocol, with the real registries.
-const workerEnv = "REFEREENET_SWEEP_WORKER"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(workerEnv) == "1" {
-		if err := ServeWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // resolveCount counts "counted-gray" resolutions — one per executed unit —
 // so resume tests can assert how much work actually re-ran.
@@ -123,23 +108,44 @@ func TestSweepDeciderMatchesExactCounts(t *testing.T) {
 	}
 }
 
-func TestSweepSubprocessWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
+// InProcess over the caller's Executor: units split across the pool, so a
+// plan with fewer units than pool workers still fans out, and the merged
+// stats stay byte-identical to the monolithic run. The pool outlives the
+// sweep — Run never closes what the caller owns.
+func TestSweepInProcessOverCallerExecutor(t *testing.T) {
+	const n = 6
+	want := monolithic(t, "oracle-conn", n, true)
+	pool := NewExecutor(3)
+	defer pool.Close()
+	plan := grayPlan(t, "oracle-conn", n, 2, true)
+	for _, workers := range []int{1, 2} {
+		got, err := Run(plan, Options{Workers: workers, Transport: InProcess{Executor: pool}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != want {
+			t.Errorf("workers=%d: pooled sweep stats %+v, want %+v", workers, got.Stats, want)
+		}
 	}
-	const n = 5
-	want := monolithic(t, "hash16", n, false)
-	plan := grayPlan(t, "hash16", n, 6, false)
-	got, err := Run(plan, Options{
-		Workers: 2,
-		Command: []string{os.Args[0]},
-		Env:     []string{workerEnv + "=1"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if res := pool.Execute(Unit{ID: 1, Spec: plan.Shards[0]}); res.Err != "" {
+		t.Errorf("caller's pool unusable after the sweeps: %s", res.Err)
 	}
-	if got.Stats != want {
-		t.Errorf("subprocess sweep stats %+v, want %+v", got.Stats, want)
+}
+
+// A unit that panics on the direct-call path fails that unit in-band — the
+// coordinator charges its retry budget and reports it — instead of taking the
+// coordinator's process down with it.
+func TestSweepInProcessPanicIsUnitError(t *testing.T) {
+	plan := engine.Plan{Shards: []engine.ShardSpec{{
+		Protocol: "hash16",
+		Source:   engine.SourceSpec{Kind: "panicky", N: 5, Lo: 0, Hi: 1 << 10},
+	}}}
+	rep, err := Run(plan, Options{Workers: 1, Retries: 1})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking unit: err %v, want a reported panic", err)
+	}
+	if rep.Failed != 1 || rep.Retries != 2 {
+		t.Errorf("report %+v, want 1 failed unit after 2 attempts", rep)
 	}
 }
 
@@ -354,17 +360,6 @@ func TestSweepPermanentFailureReported(t *testing.T) {
 	}}}
 	if _, err := Run(plan, Options{Workers: 1, Retries: 1}); err == nil {
 		t.Error("sweep with an unresolvable unit reported success")
-	}
-}
-
-func TestSweepDeadWorkerCommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	plan := grayPlan(t, "degree", 4, 2, false)
-	_, err := Run(plan, Options{Workers: 1, Retries: 1, Command: []string{"/bin/false"}})
-	if err == nil {
-		t.Error("sweep against a dying worker command reported success")
 	}
 }
 

@@ -6,31 +6,28 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/exec"
 	"time"
 
 	"refereenet/internal/engine"
 )
 
 // The coordinator's worker coupling is a Transport: something that can dial
-// a connection speaking the Unit/Result line protocol. Three implementations
+// a connection that round-trips one Unit to its Result. Two implementations
 // cover the deployment spectrum —
 //
-//   - InProcess: ServeWorker on a goroutine behind in-memory pipes (tests,
-//     -inprocess debugging, benchmarks without fork noise);
-//   - Subprocess: one worker process per slot over stdin/stdout (the
-//     single-machine fleet, unchanged semantics from the pre-transport
-//     coordinator);
+//   - InProcess: the unit executes in this process by direct call, on the
+//     coordinator slot's goroutine or over the caller's Executor pool — no
+//     framing, no codec, no extra goroutine;
 //   - TCP: a long-lived `refereesim serve` daemon reached over the network,
-//     with a registry-fingerprint handshake and reconnect-with-backoff
+//     speaking the JSON-lines Unit/Result protocol (docs/sweep-protocol.md)
+//     behind a registry-fingerprint handshake, with reconnect-with-backoff
 //     failover across a daemon address list (the cross-machine fleet).
 //
-// The coordinator treats all three identically: a dropped connection is the
-// death of the in-flight unit's worker, the unit goes back through the
+// The coordinator treats both identically: a failed round-trip is the death
+// of the in-flight unit's worker, the unit goes back through the
 // retry/requeue path, and the slot redials. That mapping is what keeps any
 // sharded sweep byte-identical to the monolithic run regardless of which
-// transport carried the units.
+// transport carried the units. ChaosTransport wraps either one.
 
 // Transport dials worker connections for coordinator slots. Implementations
 // must be safe for concurrent Dial calls: every slot of a fleet dials
@@ -45,27 +42,70 @@ type Transport interface {
 // Conn is one live worker stream. It is used by a single coordinator slot at
 // a time and need not be safe for concurrent use.
 type Conn interface {
-	// RoundTrip sends one unit and reads its result. Any transport error —
-	// a died subprocess or dropped TCP connection surfaces as EOF here — is
-	// returned so the caller can fail the unit and redial.
+	// RoundTrip sends one unit and reads its result. Any transport error — a
+	// dropped TCP connection surfaces as EOF here — is returned so the caller
+	// can fail the unit and redial.
 	RoundTrip(u Unit) (Result, error)
-	// Close releases the connection (and reaps the subprocess, where there
-	// is one).
+	// Close releases the connection.
 	Close() error
 }
 
-// lineConn implements Conn over any newline-delimited JSON byte stream: it
-// is the shared round-trip engine of all three transports.
+// Unit is one work item on the coordinator→worker wire: a shard spec tagged
+// with its position in the plan. IDs are plan indices, so they are stable
+// across runs of the same plan — the property checkpoint resume relies on.
+type Unit struct {
+	ID   int              `json:"id"`
+	Spec engine.ShardSpec `json:"spec"`
+}
+
+// Result is the worker→coordinator reply (and the manifest checkpoint
+// record): the merged stats of one executed unit, or the execution error.
+type Result struct {
+	ID    int               `json:"id"`
+	Stats engine.BatchStats `json:"stats"`
+	Err   string            `json:"err,omitempty"`
+}
+
+// InProcess executes units in this process by direct call: Executor.Execute
+// on the caller's pool, or — with a nil Executor — on the calling coordinator
+// slot's goroutine. The value is stateless, so it is its own connection. A
+// spec that fails to resolve or panics comes back as Result.Err, exactly as
+// from a daemon; RoundTrip itself never fails.
+type InProcess struct {
+	// Executor is the caller's pool; the caller owns its lifecycle. Nil runs
+	// each unit on the slot's goroutine, so the sweep's concurrency is its
+	// slot count.
+	Executor *Executor
+}
+
+// Name implements Transport.
+func (InProcess) Name() string { return "inprocess" }
+
+// Dial implements Transport.
+func (t InProcess) Dial() (Conn, error) { return t, nil }
+
+// RoundTrip implements Conn.
+func (t InProcess) RoundTrip(u Unit) (Result, error) { return t.Executor.Execute(u), nil }
+
+// Close implements Conn.
+func (InProcess) Close() error { return nil }
+
+// maxLineBytes bounds one JSON line on the wire. Specs and stats are small;
+// a line this long means a corrupted stream.
+const maxLineBytes = 1 << 20
+
+// lineConn implements Conn over a newline-delimited JSON byte stream: the
+// TCP transport's round-trip engine, and the daemon side's reader.
 type lineConn struct {
 	enc     *json.Encoder
 	in      *bufio.Scanner
 	closeFn func() error
-	addr    string // daemon endpoint, TCP only; "" elsewhere
+	addr    string // daemon endpoint; "" on the daemon side
 }
 
-// Endpoint names the daemon address this connection reaches ("" for pipe
-// transports). The coordinator feeds it to the fleet's circuit breaker so
-// unit-level failures count against the endpoint, not just dial failures.
+// Endpoint names the daemon address this connection reaches. The
+// coordinator feeds it to the fleet's circuit breaker so unit-level failures
+// count against the endpoint, not just dial failures.
 func (c *lineConn) Endpoint() string { return c.addr }
 
 func newLineConn(r io.Reader, w io.Writer) *lineConn {
@@ -99,75 +139,6 @@ func (c *lineConn) Close() error {
 		return c.closeFn()
 	}
 	return nil
-}
-
-// InProcess runs workers as goroutines: ServeWorker behind in-memory pipes,
-// the same line protocol without process isolation.
-type InProcess struct{}
-
-// Name implements Transport.
-func (InProcess) Name() string { return "inprocess" }
-
-// Dial implements Transport.
-func (InProcess) Dial() (Conn, error) {
-	ur, uw := io.Pipe()
-	rr, rw := io.Pipe()
-	go func() {
-		err := ServeWorker(ur, rw)
-		rw.CloseWithError(err)
-		ur.CloseWithError(err)
-	}()
-	conn := newLineConn(rr, uw)
-	conn.closeFn = func() error {
-		uw.Close()
-		return rr.Close()
-	}
-	return conn, nil
-}
-
-// Subprocess spawns one worker process per connection, speaking the line
-// protocol on its stdin/stdout (refereesim uses [self, "sweep", "-worker"]).
-type Subprocess struct {
-	// Command is the worker argv; it must not be empty.
-	Command []string
-	// Env is appended to the inherited environment.
-	Env []string
-	// Stderr receives the worker's stderr; nil routes it to os.Stderr.
-	Stderr io.Writer
-}
-
-// Name implements Transport.
-func (s Subprocess) Name() string { return "subprocess " + s.Command[0] }
-
-// Dial implements Transport.
-func (s Subprocess) Dial() (Conn, error) {
-	cmd := exec.Command(s.Command[0], s.Command[1:]...)
-	cmd.Env = append(os.Environ(), s.Env...)
-	if s.Stderr != nil {
-		cmd.Stderr = s.Stderr
-	} else {
-		cmd.Stderr = os.Stderr
-	}
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		stdin.Close()
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		stdin.Close()
-		stdout.Close()
-		return nil, err
-	}
-	conn := newLineConn(stdout, stdin)
-	conn.closeFn = func() error {
-		stdin.Close()
-		return cmd.Wait()
-	}
-	return conn, nil
 }
 
 // TCP dials `refereesim serve` daemons. Each Dial walks the address list

@@ -334,20 +334,15 @@ func TestPartitionUnitsCoverage(t *testing.T) {
 }
 
 // Options resolve to transports with the documented precedence: explicit
-// Transport beats Dial beats Command beats in-process, and Dial defaults the
-// slot count to one per address.
+// Transport beats Dial beats in-process, and Dial defaults the slot count to
+// one per address.
 func TestOptionsTransportPrecedence(t *testing.T) {
 	if tr, w, _ := (Options{}).transport(); w != 1 {
 		t.Errorf("default: %d workers", w)
-	} else if _, ok := tr.(InProcess); !ok {
-		t.Errorf("default transport %T, want InProcess", tr)
+	} else if tr != Transport(InProcess{}) {
+		t.Errorf("default transport %#v, want InProcess{} (direct call, no pool)", tr)
 	}
-	if tr, _, _ := (Options{Command: []string{"worker"}}).transport(); tr == nil {
-		t.Error("command transport nil")
-	} else if _, ok := tr.(Subprocess); !ok {
-		t.Errorf("command transport %T, want Subprocess", tr)
-	}
-	tr, w, br := (Options{Command: []string{"worker"}, Dial: []string{"a:1", "b:1", "c:1"}}).transport()
+	tr, w, br := (Options{Dial: []string{"a:1", "b:1", "c:1"}}).transport()
 	tcp, ok := tr.(*TCP)
 	if !ok {
 		t.Fatalf("dial transport %T, want *TCP", tr)
@@ -364,7 +359,8 @@ func TestOptionsTransportPrecedence(t *testing.T) {
 	if _, _, br := (Options{Dial: []string{"a:1"}, BreakerThreshold: -1}).transport(); br != nil {
 		t.Error("negative BreakerThreshold did not disable the breaker")
 	}
-	custom := InProcess{}
+	custom := InProcess{Executor: NewExecutor(1)}
+	defer custom.Executor.Close()
 	if tr, _, _ := (Options{Transport: custom, Dial: []string{"a:1"}}).transport(); tr != Transport(custom) {
 		t.Errorf("explicit Transport not honored: %T", tr)
 	}
