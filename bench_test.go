@@ -792,3 +792,26 @@ func BenchmarkSweepCanonVector(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClassSourceOpen is the per-unit cost of a "canon" unit before any
+// class is evaluated: opening a source over a window of the cached n = 8
+// table. Sources slice the shared table in place, so ns/op and B/op stay
+// flat whatever the window or table size (one allocation: the source).
+func BenchmarkClassSourceOpen(b *testing.B) {
+	const n = 8
+	total, err := canon.ClassCount(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := canon.NewClassSource(n, total/4, total/2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if src.Len() != int(total/2-total/4) {
+			b.Fatalf("window holds %d classes, want %d", src.Len(), total/2-total/4)
+		}
+	}
+}

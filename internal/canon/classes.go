@@ -1,10 +1,11 @@
 package canon
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"refereenet/internal/graph"
@@ -20,22 +21,15 @@ type Class struct {
 
 // The class tables are deterministic pure functions of n, but expensive to
 // build (the n = 9 table canonizes ~3.2·10⁶ candidate graphs), and a serve
-// daemon resolves one "canon" spec per unit — so tables are computed once
-// per process and cached. Levels build on each other (every n-vertex graph
-// is an (n-1)-vertex graph plus one vertex), so computing Classes(9) caches
-// 1..8 along the way.
+// daemon resolves one "canon" spec per unit — so each table is built once
+// per process, cached, and shared read-only: every ClassSource slices the
+// cached []Class in place, so opening a source costs O(1) whatever the
+// table's size. Levels build on each other (every n-vertex graph is an
+// (n-1)-vertex graph plus one vertex), so computing Classes(9) caches 1..8
+// along the way.
 var classCache struct {
 	sync.Mutex
-	levels map[int]classLevel
-}
-
-// classLevel is one cached table: representative masks ascending, with the
-// automorphism-group order of each (weights derive from it per level, so the
-// same table serves as both the public Class view and the seed of the next
-// level's extension step).
-type classLevel struct {
-	masks []uint64
-	auts  []uint64
+	levels map[int][]Class
 }
 
 // Classes returns the class table for n: one canonical representative per
@@ -43,39 +37,39 @@ type classLevel struct {
 // canonical mask, each carrying its labelled-orbit weight. The ascending
 // mask order is the class-index order of the "canon" source kind — it must
 // never change, or every canon plan fingerprint and manifest would strand.
+// The returned slice is a copy the caller owns; sources use the shared
+// cached table instead.
 func Classes(n int) ([]Class, error) {
-	lvl, err := classesLevel(n)
+	table, err := classTable(n)
 	if err != nil {
 		return nil, err
 	}
-	nf := Factorial(n)
-	out := make([]Class, len(lvl.masks))
-	for i, m := range lvl.masks {
-		out[i] = Class{Mask: m, Weight: nf / lvl.auts[i]}
-	}
-	return out, nil
+	return append([]Class(nil), table...), nil
 }
 
 // ClassCount returns the number of isomorphism classes of n-vertex graphs —
 // OEIS A000088(n) — building (and caching) the table if needed.
 func ClassCount(n int) (uint64, error) {
-	lvl, err := classesLevel(n)
+	table, err := classTable(n)
 	if err != nil {
 		return 0, err
 	}
-	return uint64(len(lvl.masks)), nil
+	return uint64(len(table)), nil
 }
 
-func classesLevel(n int) (classLevel, error) {
+// classTable returns the cached n-vertex table, building it (and every
+// smaller level) on first use. The slice is shared by every caller and must
+// never be written to.
+func classTable(n int) ([]Class, error) {
 	if n < 0 || n > MaxN {
-		return classLevel{}, fmt.Errorf("canon: n=%d outside class-table range [0,%d]", n, MaxN)
+		return nil, fmt.Errorf("canon: n=%d outside class-table range [0,%d]", n, MaxN)
 	}
 	classCache.Lock()
 	defer classCache.Unlock()
 	if classCache.levels == nil {
-		classCache.levels = map[int]classLevel{
-			0: {masks: []uint64{0}, auts: []uint64{1}},
-			1: {masks: []uint64{0}, auts: []uint64{1}},
+		classCache.levels = map[int][]Class{
+			0: {{Mask: 0, Weight: 1}},
+			1: {{Mask: 0, Weight: 1}},
 		}
 	}
 	for m := 2; m <= n; m++ {
@@ -91,8 +85,9 @@ func classesLevel(n int) (classLevel, error) {
 // each (m-1)-class representative by a new vertex m with every neighborhood
 // ⊆ {1..m-1} and canonizing covers every m-class. That is
 // |classes(m-1)|·2^(m-1) canonizations — 3.16·10⁶ at m = 9 versus the 2^36
-// labelled graphs a naive census would canonize.
-func extendLevel(m int, prev classLevel) classLevel {
+// labelled graphs a naive census would canonize. Each class's weight
+// m!/|Aut| is computed here, once per process.
+func extendLevel(m int, prev []Class) []Class {
 	// Re-indexing tables: edge idx in the (m-1)-vertex EdgeIndex space →
 	// idx in the m-vertex space, and neighborhood bit j → edge {j+1, m}.
 	oldEdges := (m - 1) * (m - 2) / 2
@@ -107,8 +102,8 @@ func extendLevel(m int, prev classLevel) classLevel {
 	}
 
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(prev.masks) {
-		workers = len(prev.masks)
+	if workers > len(prev) {
+		workers = len(prev)
 	}
 	parts := make([]map[uint64]uint64, workers)
 	var wg sync.WaitGroup
@@ -118,9 +113,9 @@ func extendLevel(m int, prev classLevel) classLevel {
 		go func() {
 			defer wg.Done()
 			seen := make(map[uint64]uint64)
-			for i := w; i < len(prev.masks); i += workers {
+			for i := w; i < len(prev); i += workers {
 				base := uint64(0)
-				for rm := prev.masks[i]; rm != 0; rm &= rm - 1 {
+				for rm := prev[i].Mask; rm != 0; rm &= rm - 1 {
 					base |= 1 << reIdx[bits.TrailingZeros64(rm)]
 				}
 				for sub := uint64(0); sub < 1<<uint(m-1); sub++ {
@@ -146,14 +141,14 @@ func extendLevel(m int, prev classLevel) classLevel {
 			merged[c] = a
 		}
 	}
-	lvl := classLevel{masks: make([]uint64, 0, len(merged))}
+	table := make([]Class, 0, len(merged))
 	for c := range merged {
-		lvl.masks = append(lvl.masks, c)
+		table = append(table, Class{Mask: c})
 	}
-	sort.Slice(lvl.masks, func(i, j int) bool { return lvl.masks[i] < lvl.masks[j] })
-	lvl.auts = make([]uint64, len(lvl.masks))
-	for i, c := range lvl.masks {
-		lvl.auts[i] = merged[c]
+	slices.SortFunc(table, func(a, b Class) int { return cmp.Compare(a.Mask, b.Mask) })
+	mf := Factorial(m)
+	for i := range table {
+		table[i].Weight = mf / merged[table[i].Mask]
 	}
-	return lvl
+	return table
 }

@@ -28,13 +28,15 @@ type ClassSource struct {
 
 // NewClassSource streams the class-index range [lo, hi) of the n-vertex
 // table; lo = hi = 0 means every class. Building the table on first use is
-// expensive (seconds at n = 9) but cached per process, so a serve daemon
-// pays it once across all units.
+// expensive (seconds at n = 9) but happens once per process. After that,
+// opening a source is O(1): it slices the shared, read-only table as
+// [lo:hi:hi] without copying it, so a serve daemon's units and sub-shards
+// pay nothing per open for the table. Sources never write to it.
 func NewClassSource(n int, lo, hi uint64) (*ClassSource, error) {
 	if n < 1 || n > MaxN {
 		return nil, fmt.Errorf("canon: n=%d outside class range [1,%d]", n, MaxN)
 	}
-	classes, err := Classes(n)
+	classes, err := classTable(n)
 	if err != nil {
 		return nil, err
 	}
