@@ -18,7 +18,6 @@ import (
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
 	"refereenet/internal/numeric"
-	"refereenet/internal/sim"
 	"refereenet/internal/sketch"
 	"refereenet/internal/sweep"
 )
@@ -128,7 +127,7 @@ func BenchmarkReferee(b *testing.B) {
 		for _, n := range []int{256, 1024} {
 			g := gen.RandomKDegenerate(gen.NewRand(2), n, k, true)
 			p := &core.DegeneracyProtocol{K: k}
-			tr := sim.LocalPhase(g, p, sim.Parallel)
+			tr := engine.LocalPhase(g, p, engine.Chunked{})
 			b.Run(fmt.Sprintf("decode/k=%d/n=%d", k, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := p.Reconstruct(n, tr.Messages); err != nil {
@@ -371,12 +370,12 @@ func BenchmarkLocalPhaseModes(b *testing.B) {
 	g := gen.KTree(gen.NewRand(3), 2048, 4)
 	p := &core.DegeneracyProtocol{K: 4}
 	for _, m := range []struct {
-		name string
-		mode sim.Mode
-	}{{"sequential", sim.Sequential}, {"parallel", sim.Parallel}, {"async", sim.Async}} {
+		name  string
+		sched engine.Scheduler
+	}{{"sequential", engine.Serial{}}, {"parallel", engine.Chunked{}}, {"async", engine.Async{}}} {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim.LocalPhase(g, p, m.mode)
+				engine.LocalPhase(g, p, m.sched)
 			}
 		})
 	}
@@ -386,7 +385,7 @@ func BenchmarkDecoderAblation(b *testing.B) {
 	n, k := 32, 3
 	g := gen.RandomKDegenerate(gen.NewRand(4), n, k, true)
 	p := &core.DegeneracyProtocol{K: k}
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	ld, err := core.NewLookupDecoder(n, k, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -442,7 +441,7 @@ func BenchmarkSketch(b *testing.B) {
 			sc.LocalMessage(n, 1, nbrs)
 		}
 	})
-	tr := sim.LocalPhase(g, sc, sim.Parallel)
+	tr := engine.LocalPhase(g, sc, engine.Chunked{})
 	b.Run("decide", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sc.Decide(n, tr.Messages); err != nil {
@@ -510,17 +509,18 @@ func BenchmarkEnumerate(b *testing.B) {
 			})
 		}
 	})
-	// The reused-*Graph middle ground the collision searches run on.
+	// The reused-*Graph middle ground the collision searches run on: a
+	// GraySource drain.
 	b.Run("incremental/n=6", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			count := 0
-			collide.EnumerateGraphsIncremental(6, func(_ uint64, g *graph.Graph) bool {
+			src := collide.NewGraySource(6)
+			for g := src.Next(); g != nil; g = src.Next() {
 				if g.IsConnected() {
 					count++
 				}
-				return true
-			})
+			}
 		}
 	})
 }
@@ -530,7 +530,7 @@ func BenchmarkReductions(b *testing.B) {
 	b.Run("square/n=14", func(b *testing.B) {
 		delta := &core.SquareReduction{Gamma: core.NewSquareOracle()}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.RunReconstructor(g, delta, sim.Sequential); err != nil {
+			if _, _, err := engine.RunReconstructor(g, delta, engine.Serial{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -539,7 +539,7 @@ func BenchmarkReductions(b *testing.B) {
 	b.Run("diameter/n=12", func(b *testing.B) {
 		delta := &core.DiameterReduction{Gamma: core.NewDiameterOracle(3)}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.RunReconstructor(g2, delta, sim.Sequential); err != nil {
+			if _, _, err := engine.RunReconstructor(g2, delta, engine.Serial{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -548,7 +548,7 @@ func BenchmarkReductions(b *testing.B) {
 	b.Run("triangle/n=12", func(b *testing.B) {
 		delta := &core.TriangleReduction{Gamma: core.NewTriangleOracle()}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.RunReconstructor(g3, delta, sim.Sequential); err != nil {
+			if _, _, err := engine.RunReconstructor(g3, delta, engine.Serial{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -635,7 +635,7 @@ func BenchmarkCongestRealization(b *testing.B) {
 	p := &core.DegeneracyProtocol{K: 3}
 	b.Run("abstract", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sim.LocalPhase(g, p, sim.Sequential)
+			engine.LocalPhase(g, p, engine.Serial{})
 		}
 	})
 	b.Run("congest", func(b *testing.B) {
@@ -651,7 +651,7 @@ func BenchmarkSketchBipartiteness(b *testing.B) {
 	n := 32
 	g := gen.Grid(4, 8)
 	sb := sketch.NewSketchBipartiteness(n, 5)
-	tr := sim.LocalPhase(g, sb, sim.Parallel)
+	tr := engine.LocalPhase(g, sb, engine.Chunked{})
 	b.Run("decide", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sb.Decide(n, tr.Messages); err != nil {

@@ -64,6 +64,9 @@ func main() {
 		return
 	}
 
+	if *n < 1 {
+		log.Fatalf("n=%d: collision searches need at least one vertex", *n)
+	}
 	s, ok := strawmanByName(*protoName)
 	if !ok {
 		log.Fatalf("unknown protocol %q", *protoName)

@@ -50,7 +50,6 @@ import (
 	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 
 	// Registered for their engine registry entries (strawmen, sketch-conn).
 	_ "refereenet/internal/collide"
@@ -100,8 +99,12 @@ func main() {
 	d, _ := g.Degeneracy()
 	fmt.Printf(" degeneracy=%d\n", d)
 
+	s, schedOK := engine.SchedulerByName(*sched)
 	if *protocol == "adaptive" {
-		runAdaptive(g, *sched)
+		if !schedOK {
+			log.Fatalf("adaptive supports schedulers %v, not %q", engine.SchedulerNames(), *sched)
+		}
+		runAdaptive(g, s)
 		return
 	}
 	pr, ok := engine.New(*protocol, engine.Config{N: g.N(), K: *k, Seed: *seed})
@@ -112,8 +115,7 @@ func main() {
 		runOverCongest(g, *protocol, pr)
 		return
 	}
-	s, ok := engine.SchedulerByName(*sched)
-	if !ok {
+	if !schedOK {
 		log.Fatalf("unknown scheduler %q (known: %v, congest)", *sched, engine.SchedulerNames())
 	}
 	switch impl := pr.(type) {
@@ -137,19 +139,8 @@ func main() {
 	}
 }
 
-func runAdaptive(g *graph.Graph, sched string) {
-	var mode sim.Mode
-	switch sched {
-	case "serial", "sequential":
-		mode = sim.Sequential
-	case "chunked", "parallel":
-		mode = sim.Parallel
-	case "async":
-		mode = sim.Async
-	default:
-		log.Fatalf("adaptive supports schedulers %v, not %q", engine.SchedulerNames(), sched)
-	}
-	res, err := sim.RunMultiRound(g, &core.AdaptiveReconstruction{}, 16, mode)
+func runAdaptive(g *graph.Graph, s engine.Scheduler) {
+	res, err := engine.RunMultiRound(g, &core.AdaptiveReconstruction{}, 16, s)
 	if err != nil {
 		log.Fatal(err)
 	}

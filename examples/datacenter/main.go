@@ -13,9 +13,9 @@ import (
 	"log"
 
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 
 	// The one-round recognition variant doubles as an invariant monitor:
 	// "is the fabric still within its design degeneracy?"
-	tr := sim.LocalPhase(broken, p, sim.Parallel)
+	tr := engine.LocalPhase(broken, p, engine.Chunked{})
 	ok, err := p.Recognize(broken.N(), tr.Messages)
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +61,7 @@ func main() {
 }
 
 func snapshot(g *graph.Graph, p *core.DegeneracyProtocol) *graph.Graph {
-	h, _, err := sim.RunReconstructor(g, p, sim.Parallel)
+	h, _, err := engine.RunReconstructor(g, p, engine.Chunked{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,9 +16,9 @@ import (
 
 	"refereenet/internal/collide"
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 	// in the gadget G'_{s,t}; the referee synthesizes the gadget vertices'
 	// messages and interrogates Γ once per vertex pair.
 	delta := &core.SquareReduction{Gamma: core.NewSquareOracle()}
-	h, tr, err := sim.RunReconstructor(g, delta, sim.Parallel)
+	h, tr, err := engine.RunReconstructor(g, delta, engine.Chunked{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 	"math"
 
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func main() {
@@ -35,7 +35,7 @@ func main() {
 		"graph", "degen", "rounds", "predict", "max bits", "exact")
 	for _, c := range cases {
 		d, _ := c.g.Degeneracy()
-		res, err := sim.RunMultiRound(c.g, &core.AdaptiveReconstruction{}, 16, sim.Parallel)
+		res, err := engine.RunMultiRound(c.g, &core.AdaptiveReconstruction{}, 16, engine.Chunked{})
 		if err != nil {
 			log.Fatalf("%s: %v", c.name, err)
 		}

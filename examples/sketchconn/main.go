@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"log"
 
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 	"refereenet/internal/sketch"
 )
 
@@ -59,7 +59,7 @@ func main() {
 		{"two cliques", disconnected, false},
 		{"barbell with bridge", gen.BarbellWithBridge(n / 2), true},
 	} {
-		got, tr, err := sim.RunDecider(tc.g, sc, sim.Parallel)
+		got, tr, err := engine.RunDecider(tc.g, sc, engine.Chunked{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func main() {
 	}
 
 	// The sketches even hand the referee a spanning forest.
-	tr := sim.LocalPhase(connected, sc, sim.Parallel)
+	tr := engine.LocalPhase(connected, sc, engine.Chunked{})
 	forest, err := sc.SpanningForest(n, tr.Messages)
 	if err != nil {
 		log.Fatal(err)
@@ -90,7 +90,7 @@ func main() {
 		{"odd cycle", gen.Cycle(63), false},
 		{"random bipartite", gen.RandomBipartite(rng, n/2, n/2, 0.2), true},
 	} {
-		got, _, err := sim.RunDecider(tc.g, sb, sim.Parallel)
+		got, _, err := engine.RunDecider(tc.g, sb, engine.Chunked{})
 		if err != nil {
 			log.Fatal(err)
 		}

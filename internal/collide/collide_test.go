@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func TestEnumerateCount(t *testing.T) {
@@ -282,7 +282,7 @@ func TestCertificateRoundTrip(t *testing.T) {
 	}
 }
 
-var _ sim.Local = bufferedFunc(nil)
+var _ engine.Local = bufferedFunc(nil)
 
 func TestCountParallelMatchesSequential(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 6} {

@@ -43,16 +43,17 @@ func EnumerateGraphs(n int, visit func(mask uint64, g *graph.Graph) bool) {
 }
 
 // CountGraphs returns the number of labelled graphs on n vertices satisfying
-// pred. The enumeration is incremental: one reused graph, one edge toggled
-// per step (Gray-code order), so the only per-graph cost is pred itself.
+// pred. It drains a GraySource: one reused graph, one edge toggled per step,
+// so the only per-graph cost is pred itself. It panics for n outside
+// [1, MaxEnumerationN].
 func CountGraphs(n int, pred func(*graph.Graph) bool) uint64 {
 	var count uint64
-	EnumerateGraphsIncremental(n, func(_ uint64, g *graph.Graph) bool {
+	src := NewGraySource(n)
+	for g := src.Next(); g != nil; g = src.Next() {
 		if pred(g) {
 			count++
 		}
-		return true
-	})
+	}
 	return count
 }
 

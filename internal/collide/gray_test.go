@@ -92,18 +92,22 @@ func TestGrayEarlyStop(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesMask checks the reused-*Graph enumerator agrees with
-// FromEdgeMask at every step.
+// TestIncrementalMatchesMask checks the reused-graph GraySource agrees with
+// FromEdgeMask at every step and visits every graph exactly once. The empty
+// vertex set is out of its domain and must be refused.
 func TestIncrementalMatchesMask(t *testing.T) {
-	for _, n := range []int{0, 1, 4, 5} {
+	if _, err := GraySourceForRange(0, 0, 1); err == nil {
+		t.Fatal("n=0: GraySourceForRange accepted an empty vertex set")
+	}
+	for _, n := range []int{1, 4, 5} {
 		visits := uint64(0)
-		EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
+		src := NewGraySource(n)
+		for g := src.Next(); g != nil; g = src.Next() {
 			visits++
-			if !g.Equal(graph.FromEdgeMask(n, mask)) {
-				t.Fatalf("n=%d mask=%d: incremental graph diverged: %v", n, mask, g)
+			if !g.Equal(graph.FromEdgeMask(n, src.Mask())) {
+				t.Fatalf("n=%d mask=%d: incremental graph diverged: %v", n, src.Mask(), g)
 			}
-			return true
-		})
+		}
 		if want := uint64(1) << uint(n*(n-1)/2); visits != want {
 			t.Fatalf("n=%d: visited %d graphs, want %d", n, visits, want)
 		}

@@ -6,7 +6,6 @@ import (
 	"refereenet/internal/bits"
 	"refereenet/internal/engine"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // Certificate is an explicit impossibility witness: two labelled graphs on
@@ -36,7 +35,7 @@ func (c *Certificate) String() string {
 
 // messageVector runs the local phase of p over g (by direct evaluation —
 // cheaper than a full transcript for millions of graphs).
-func messageVector(p sim.Local, g *graph.Graph) []bits.String {
+func messageVector(p engine.Local, g *graph.Graph) []bits.String {
 	n := g.N()
 	msgs := make([]bits.String, n)
 	engine.Fill(g, p, msgs, make([]int, 0, n))
@@ -74,12 +73,32 @@ func totalBits(msgs []bits.String) int {
 	return t
 }
 
+// walkVectors drains a GraySource over every labelled graph on n vertices,
+// skips graphs outside family (nil admits all), and calls visit with each
+// remaining graph's edge mask, message vector under p and its fingerprint,
+// until visit returns false. The graph and msgs are reused between calls and
+// must not be retained. It panics for n outside [1, MaxEnumerationN].
+func walkVectors(p engine.Local, n int, family func(*graph.Graph) bool, visit func(mask uint64, g *graph.Graph, msgs []bits.String, fp uint64) bool) {
+	src := NewGraySource(n)
+	msgs := make([]bits.String, n)
+	nbrs := make([]int, 0, n)
+	for g := src.Next(); g != nil; g = src.Next() {
+		if family != nil && !family(g) {
+			continue
+		}
+		nbrs = engine.Fill(g, p, msgs, nbrs)
+		if !visit(src.Mask(), g, msgs, vectorFingerprint(msgs)) {
+			return
+		}
+	}
+}
+
 // FindDecisionCollision searches all labelled graphs on n vertices for a
 // collision certificate of the given protocol against pred. family (may be
 // nil) restricts the search to a subfamily. Returns nil when no collision
 // exists at this n (the protocol *might* decide pred here — or the n is too
 // small for the pigeonhole to bite).
-func FindDecisionCollision(p sim.Local, pred func(*graph.Graph) bool, n int, family func(*graph.Graph) bool) *Certificate {
+func FindDecisionCollision(p engine.Local, pred func(*graph.Graph) bool, n int, family func(*graph.Graph) bool) *Certificate {
 	// Bucket graphs by fingerprint, remembering one representative mask per
 	// observed (fingerprint, predicate) pair; verify exact equality before
 	// declaring a collision.
@@ -89,22 +108,13 @@ func FindDecisionCollision(p sim.Local, pred func(*graph.Graph) bool, n int, fam
 	}
 	buckets := make(map[uint64][]entry)
 	var found *Certificate
-	msgs := make([]bits.String, n)
-	nbrs := make([]int, 0, n)
-	EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
-		if family != nil && !family(g) {
-			return true
-		}
-		nbrs = engine.Fill(g, p, msgs, nbrs)
-		fp := vectorFingerprint(msgs)
+	walkVectors(p, n, family, func(mask uint64, g *graph.Graph, msgs []bits.String, fp uint64) bool {
 		pv := pred(g)
 		for _, e := range buckets[fp] {
 			if e.pred == pv {
 				continue
 			}
-			other := graph.FromEdgeMask(n, e.mask)
-			otherMsgs := messageVector(p, other)
-			if vectorsEqual(msgs, otherMsgs) {
+			if vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, e.mask))) {
 				found = &Certificate{
 					N: n, MaskA: e.mask, MaskB: mask,
 					PredA: e.pred, PredB: pv,
@@ -122,20 +132,12 @@ func FindDecisionCollision(p sim.Local, pred func(*graph.Graph) bool, n int, fam
 // FindReconstructionCollision searches a family for two *distinct* graphs
 // with identical message vectors — the direct Lemma 1 witness that the
 // protocol cannot reconstruct the family.
-func FindReconstructionCollision(p sim.Local, n int, family func(*graph.Graph) bool) *Certificate {
+func FindReconstructionCollision(p engine.Local, n int, family func(*graph.Graph) bool) *Certificate {
 	buckets := make(map[uint64][]uint64)
 	var found *Certificate
-	msgs := make([]bits.String, n)
-	nbrs := make([]int, 0, n)
-	EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
-		if family != nil && !family(g) {
-			return true
-		}
-		nbrs = engine.Fill(g, p, msgs, nbrs)
-		fp := vectorFingerprint(msgs)
+	walkVectors(p, n, family, func(mask uint64, _ *graph.Graph, msgs []bits.String, fp uint64) bool {
 		for _, om := range buckets[fp] {
-			other := graph.FromEdgeMask(n, om)
-			if vectorsEqual(msgs, messageVector(p, other)) {
+			if vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, om))) {
 				found = &Certificate{
 					N: n, MaskA: om, MaskB: mask,
 					MessageBits: totalBits(msgs),
@@ -153,30 +155,16 @@ func FindReconstructionCollision(p sim.Local, n int, family func(*graph.Graph) b
 // across a family on n vertices — the protocol's *used* capacity. If this is
 // smaller than the family size, reconstruction is impossible (pigeonhole),
 // even before exhibiting the collision.
-func CountDistinctVectors(p sim.Local, n int, family func(*graph.Graph) bool) (distinct, familySize uint64) {
-	type bucket struct{ masks []uint64 }
-	buckets := make(map[uint64]*bucket)
-	msgs := make([]bits.String, n)
-	nbrs := make([]int, 0, n)
-	EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
-		if family != nil && !family(g) {
-			return true
-		}
+func CountDistinctVectors(p engine.Local, n int, family func(*graph.Graph) bool) (distinct, familySize uint64) {
+	buckets := make(map[uint64][]uint64)
+	walkVectors(p, n, family, func(mask uint64, _ *graph.Graph, msgs []bits.String, fp uint64) bool {
 		familySize++
-		nbrs = engine.Fill(g, p, msgs, nbrs)
-		fp := vectorFingerprint(msgs)
-		b, ok := buckets[fp]
-		if !ok {
-			buckets[fp] = &bucket{masks: []uint64{mask}}
-			distinct++
-			return true
-		}
-		for _, om := range b.masks {
+		for _, om := range buckets[fp] {
 			if vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, om))) {
 				return true
 			}
 		}
-		b.masks = append(b.masks, mask)
+		buckets[fp] = append(buckets[fp], mask)
 		distinct++
 		return true
 	})

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/lanes"
 	"refereenet/internal/numeric"
-	"refereenet/internal/sim"
 )
 
 // Strawman protocols: plausible frugal local functions. None of them can
@@ -18,10 +18,10 @@ import (
 type Strawman struct {
 	Label string
 	Bits  func(n int) int
-	Local sim.Local
+	Local engine.Local
 }
 
-// bufferedFunc adapts a writer-style function literal to sim.Local AND
+// bufferedFunc adapts a writer-style function literal to engine.Local AND
 // engine.BufferedLocal: each strawman is defined once as an append into a
 // caller-owned writer, so batch runs evaluate it without allocating, while
 // LocalMessage derives the immutable-String form for everything else.

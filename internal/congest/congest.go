@@ -8,9 +8,9 @@
 //
 //   - StarNetwork / RefereeAdapter: the paper's interconnection network
 //     G ∪ {v₀} — the input graph plus a universal referee node — on which a
-//     one-round sim protocol runs as a genuine CONGEST execution, message
+//     one-round engine protocol runs as a genuine CONGEST execution, message
 //     for message. This closes the loop between the abstract model
-//     (internal/sim) and the network it formalizes.
+//     (internal/engine) and the network it formalizes.
 //
 //   - Reference CONGEST protocols (BFS flooding) used as substrate sanity
 //     checks and for the frugality accounting experiments à la Grumbach–Wu

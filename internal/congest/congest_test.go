@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func TestStarNetwork(t *testing.T) {
@@ -29,7 +29,7 @@ func TestStarNetwork(t *testing.T) {
 }
 
 func TestRunOneRoundMatchesSim(t *testing.T) {
-	// The CONGEST realization must deliver exactly the sim.LocalPhase
+	// The CONGEST realization must deliver exactly the engine.LocalPhase
 	// message vector.
 	rng := gen.NewRand(600)
 	g := gen.KTree(rng, 20, 3)
@@ -38,7 +38,7 @@ func TestRunOneRoundMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.LocalPhase(g, p, sim.Sequential)
+	want := engine.LocalPhase(g, p, engine.Serial{})
 	for i := range want.Messages {
 		if !msgs[i].Equal(want.Messages[i]) {
 			t.Fatalf("message %d differs between CONGEST and abstract model", i+1)
@@ -209,7 +209,7 @@ func TestCongestRealizationExhaustiveTiny(t *testing.T) {
 		d, _ := g.Degeneracy()
 		p := &core.DegeneracyProtocol{K: d}
 		viaCongest, _, err1 := RunReconstructor(g, p)
-		viaSim, _, err2 := sim.RunReconstructor(g, p, sim.Sequential)
+		viaSim, _, err2 := engine.RunReconstructor(g, p, engine.Serial{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("mask %d: error mismatch %v vs %v", mask, err1, err2)
 		}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
-	"refereenet/internal/sim"
+	"refereenet/internal/engine"
 )
 
 // AdaptiveReconstruction answers the paper's closing question ("can we
@@ -24,7 +24,7 @@ type AdaptiveReconstruction struct {
 	MaxK int
 }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (a *AdaptiveReconstruction) Name() string { return "adaptive-degeneracy" }
 
 func (a *AdaptiveReconstruction) kForRound(round, n int) int {
@@ -42,7 +42,7 @@ func (a *AdaptiveReconstruction) kForRound(round, n int) int {
 // NodeMessage sends the degeneracy-k message for the round's k. The referee
 // broadcast carries no payload (its arrival IS the signal); nodes derive k
 // from the round number.
-func (a *AdaptiveReconstruction) NodeMessage(round int, view sim.NodeView, _ bits.String) bits.String {
+func (a *AdaptiveReconstruction) NodeMessage(round int, view engine.NodeView, _ bits.String) bits.String {
 	p := &DegeneracyProtocol{K: a.kForRound(round, view.N)}
 	return p.LocalMessage(view.N, view.ID, view.Neighbors)
 }
@@ -65,4 +65,4 @@ func (a *AdaptiveReconstruction) RefereeRound(round, n int, msgs []bits.String) 
 	}
 }
 
-var _ sim.MultiRound = (*AdaptiveReconstruction)(nil)
+var _ engine.MultiRound = (*AdaptiveReconstruction)(nil)

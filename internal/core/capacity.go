@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 
-	"refereenet/internal/sim"
+	"refereenet/internal/engine"
 )
 
 // Lemma 1, made quantitative: a one-round protocol whose nodes each send at
@@ -55,6 +55,6 @@ func Reconstructible(logCount, capacityBits float64) bool {
 
 // TranscriptCapacity returns the capacity actually used by a transcript:
 // the sum of message lengths (an upper bound on what the referee learned).
-func TranscriptCapacity(t *sim.Transcript) float64 {
+func TranscriptCapacity(t *engine.Transcript) float64 {
 	return float64(t.TotalBits())
 }

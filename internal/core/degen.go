@@ -12,9 +12,9 @@ import (
 	"math/big"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
 	"refereenet/internal/numeric"
-	"refereenet/internal/sim"
 )
 
 // NeighborhoodDecoder recovers the set of neighbor IDs of a vertex of degree
@@ -72,7 +72,7 @@ type DegeneracyProtocol struct {
 	Decoder NeighborhoodDecoder // nil means NewtonDecoder{}
 }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (p *DegeneracyProtocol) Name() string { return fmt.Sprintf("degeneracy[k=%d]", p.K) }
 
 func (p *DegeneracyProtocol) decoder() NeighborhoodDecoder {
@@ -232,7 +232,7 @@ func (p *DegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Grap
 // reconstructor accept exactly the image of its encoder: corrupted or
 // adversarial message vectors either fail during pruning or fail here —
 // never a silent wrong answer.
-func verifyEncoding(local sim.Local, n int, h *graph.Graph, msgs []bits.String) error {
+func verifyEncoding(local engine.Local, n int, h *graph.Graph, msgs []bits.String) error {
 	for v := 1; v <= n; v++ {
 		if !local.LocalMessage(n, v, h.Neighbors(v)).Equal(msgs[v-1]) {
 			return fmt.Errorf("core: message of node %d is not the encoding of the reconstructed graph", v)
@@ -263,6 +263,6 @@ func (p *DegeneracyProtocol) Recognize(n int, msgs []bits.String) (bool, error) 
 
 // Interface conformance.
 var (
-	_ sim.Reconstructor = (*DegeneracyProtocol)(nil)
-	_ sim.Named         = (*DegeneracyProtocol)(nil)
+	_ engine.Reconstructor = (*DegeneracyProtocol)(nil)
+	_ engine.Named         = (*DegeneracyProtocol)(nil)
 )

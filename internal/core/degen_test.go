@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // shortened drops the last bit of a message, producing a malformed string.
@@ -18,9 +18,9 @@ func shortened(s bits.String) bits.String {
 	return w.String()
 }
 
-func reconstructAndCheck(t *testing.T, g *graph.Graph, p sim.Reconstructor) *sim.Transcript {
+func reconstructAndCheck(t *testing.T, g *graph.Graph, p engine.Reconstructor) *engine.Transcript {
 	t.Helper()
-	h, tr, err := sim.RunReconstructor(g, p, sim.Sequential)
+	h, tr, err := engine.RunReconstructor(g, p, engine.Serial{})
 	if err != nil {
 		t.Fatalf("reconstruct: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestDegeneracyRejectsDenseGraph(t *testing.T) {
 	// K6 has degeneracy 5; k=2 must get stuck, not misreconstruct.
 	g := gen.Complete(6)
 	p := &DegeneracyProtocol{K: 2}
-	_, _, err := sim.RunReconstructor(g, p, sim.Sequential)
+	_, _, err := engine.RunReconstructor(g, p, engine.Serial{})
 	if err == nil {
 		t.Fatal("expected failure on degeneracy 5 graph with k=2")
 	}
@@ -89,7 +89,7 @@ func TestDegeneracyRejectsDenseGraph(t *testing.T) {
 }
 
 func runRecognize(g *graph.Graph, p *DegeneracyProtocol) (bool, error) {
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	return p.Recognize(g.N(), tr.Messages)
 }
 
@@ -129,10 +129,10 @@ func TestDegeneracyMessageSizeIsFrugal(t *testing.T) {
 	// = 2 + k(k+3)/2 plus slack for ceilings.
 	for _, k := range []int{1, 2, 3, 5} {
 		c := float64(2+k*(k+3)/2) + 1
-		budget := sim.FrugalBudget{C: c, C0: 8 + 2*k}
+		budget := engine.FrugalBudget{C: c, C0: 8 + 2*k}
 		for _, n := range []int{4, 16, 64, 256, 1024} {
 			p := &DegeneracyProtocol{K: k}
-			tr := &sim.Transcript{N: n, Messages: nil}
+			tr := &engine.Transcript{N: n, Messages: nil}
 			_ = tr
 			bitsUsed := p.MessageBits(n)
 			maxAllowed := budget.C*float64(log2ceilTest(n)) + float64(budget.C0)
@@ -155,13 +155,13 @@ func TestDegeneracyAllModesAgree(t *testing.T) {
 	rng := gen.NewRand(103)
 	g := gen.Apollonian(rng, 25)
 	p := &DegeneracyProtocol{K: 3}
-	for _, mode := range []sim.Mode{sim.Sequential, sim.Parallel, sim.Async} {
-		h, _, err := sim.RunReconstructor(g, p, mode)
+	for _, s := range []engine.Scheduler{engine.Serial{}, engine.Chunked{}, engine.Async{}} {
+		h, _, err := engine.RunReconstructor(g, p, s)
 		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
+			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if !h.Equal(g) {
-			t.Fatalf("mode %d: wrong reconstruction", mode)
+			t.Fatalf("%s: wrong reconstruction", s.Name())
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestDegeneracyAllModesAgree(t *testing.T) {
 func TestDegeneracyMalformedMessages(t *testing.T) {
 	g := gen.Path(5)
 	p := &DegeneracyProtocol{K: 1}
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 
 	// Wrong count.
 	if _, err := p.Reconstruct(4, tr.Messages[:4]); err == nil {
@@ -192,7 +192,7 @@ func TestDegeneracyMalformedMessages(t *testing.T) {
 func TestRecognizeMalformedIsError(t *testing.T) {
 	g := gen.Path(4)
 	p := &DegeneracyProtocol{K: 1}
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	msgs := append(tr.Messages[:0:0], tr.Messages...)
 	msgs[0], msgs[1] = msgs[1], msgs[0]
 	if _, err := p.Recognize(4, msgs); err == nil {
@@ -212,7 +212,7 @@ func TestDegeneracyK0(t *testing.T) {
 	g := graph.New(7)
 	reconstructAndCheck(t, g, &DegeneracyProtocol{K: 0})
 	h := gen.Path(7)
-	if _, _, err := sim.RunReconstructor(h, &DegeneracyProtocol{K: 0}, sim.Sequential); err == nil {
+	if _, _, err := engine.RunReconstructor(h, &DegeneracyProtocol{K: 0}, engine.Serial{}); err == nil {
 		t.Error("k=0 should fail on a path")
 	}
 }
@@ -226,7 +226,7 @@ func TestDegeneracyExhaustiveSmall(t *testing.T) {
 		g := graph.FromEdgeMask(n, mask)
 		d, _ := g.Degeneracy()
 		p := &DegeneracyProtocol{K: d}
-		h, _, err := sim.RunReconstructor(g, p, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, p, engine.Serial{})
 		if err != nil {
 			t.Fatalf("mask %d (degeneracy %d): %v", mask, d, err)
 		}

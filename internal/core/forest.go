@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
 	"refereenet/internal/lanes"
 	"refereenet/internal/numeric"
-	"refereenet/internal/sim"
 )
 
 // ForestProtocol is the paper's warm-up protocol (§III.A, the k = 1 case):
@@ -25,7 +25,7 @@ import (
 // bits" claim exactly.
 type ForestProtocol struct{}
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (ForestProtocol) Name() string { return "forest" }
 
 // MessageBits returns the exact message size on n-node graphs.
@@ -147,8 +147,8 @@ func (ForestProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Graph, erro
 }
 
 var (
-	_ sim.Reconstructor = ForestProtocol{}
-	_ sim.Named         = ForestProtocol{}
+	_ engine.Reconstructor = ForestProtocol{}
+	_ engine.Named         = ForestProtocol{}
 )
 
 // BoundedDegreeProtocol is the protocol from the paper's footnote 1: when
@@ -158,7 +158,7 @@ var (
 // a star has unbounded degree but degeneracy 1.
 type BoundedDegreeProtocol struct{ D int }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (p BoundedDegreeProtocol) Name() string { return fmt.Sprintf("bounded-degree[d=%d]", p.D) }
 
 // LocalMessage sends deg(v) then the raw neighbor list. Nodes of degree
@@ -237,4 +237,4 @@ func (p BoundedDegreeProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Gr
 	return h, nil
 }
 
-var _ sim.Reconstructor = BoundedDegreeProtocol{}
+var _ engine.Reconstructor = BoundedDegreeProtocol{}

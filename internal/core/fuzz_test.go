@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
-	"refereenet/internal/sim"
 )
 
 // Native fuzz targets: the referee parses attacker-controlled bitstrings,
@@ -38,7 +38,7 @@ func FuzzDegeneracyReconstruct(f *testing.F) {
 	p := &DegeneracyProtocol{K: k}
 	// Seed with a genuine transcript and a few mutations.
 	g := gen.KTree(gen.NewRand(1), n, k)
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	var seed []byte
 	for _, m := range tr.Messages {
 		seed = append(seed, m.Bytes()...)
@@ -52,7 +52,7 @@ func FuzzDegeneracyReconstruct(f *testing.F) {
 		h, err := p.Reconstruct(n, msgs) // must not panic
 		if err == nil {
 			// Acceptance implies exact codeword (the integrity check).
-			reenc := sim.LocalPhase(h, p, sim.Sequential)
+			reenc := engine.LocalPhase(h, p, engine.Serial{})
 			for i := range msgs {
 				if !msgs[i].Equal(reenc.Messages[i]) {
 					t.Fatal("accepted a non-codeword")
@@ -66,7 +66,7 @@ func FuzzForestReconstruct(f *testing.F) {
 	const n = 7
 	p := ForestProtocol{}
 	g := gen.RandomTree(gen.NewRand(2), n)
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	var seed []byte
 	for _, m := range tr.Messages {
 		seed = append(seed, m.Bytes()...)
@@ -78,7 +78,7 @@ func FuzzForestReconstruct(f *testing.F) {
 		msgs := bytesToMessages(data, n, msgBits)
 		h, err := p.Reconstruct(n, msgs)
 		if err == nil {
-			reenc := sim.LocalPhase(h, p, sim.Sequential)
+			reenc := engine.LocalPhase(h, p, engine.Serial{})
 			for i := range msgs {
 				if !msgs[i].Equal(reenc.Messages[i]) {
 					t.Fatal("accepted a non-codeword")

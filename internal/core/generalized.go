@@ -5,9 +5,9 @@ import (
 	"math/big"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
 	"refereenet/internal/numeric"
-	"refereenet/internal/sim"
 )
 
 // GeneralizedDegeneracyProtocol implements the extension sketched at the end
@@ -25,7 +25,7 @@ type GeneralizedDegeneracyProtocol struct {
 	Decoder NeighborhoodDecoder // nil means NewtonDecoder{}
 }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (p *GeneralizedDegeneracyProtocol) Name() string {
 	return fmt.Sprintf("generalized-degeneracy[k=%d]", p.K)
 }
@@ -228,6 +228,6 @@ func (p *GeneralizedDegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (
 }
 
 var (
-	_ sim.Reconstructor = (*GeneralizedDegeneracyProtocol)(nil)
-	_ sim.Named         = (*GeneralizedDegeneracyProtocol)(nil)
+	_ engine.Reconstructor = (*GeneralizedDegeneracyProtocol)(nil)
+	_ engine.Named         = (*GeneralizedDegeneracyProtocol)(nil)
 )

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
 	"refereenet/internal/lanes"
-	"refereenet/internal/sim"
 )
 
 // OracleDecider is the hypothetical protocol Γ that the paper's reduction
@@ -25,7 +25,7 @@ type OracleDecider struct {
 	Accept func(*lanes.Block) uint64
 }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (o *OracleDecider) Name() string { return "oracle:" + o.Label }
 
 // LocalMessage encodes the incidence row of node id: bit j-1 set iff j is a
@@ -158,7 +158,7 @@ func NewForestOracle() *OracleDecider {
 // the trivial non-frugal reconstructor, Lemma 1's upper-bound foil.
 type OracleReconstructor struct{}
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (OracleReconstructor) Name() string { return "oracle:reconstruct" }
 
 // LocalMessage is the adjacency row of node id.
@@ -172,6 +172,6 @@ func (OracleReconstructor) Reconstruct(n int, msgs []bits.String) (*graph.Graph,
 }
 
 var (
-	_ sim.Decider       = (*OracleDecider)(nil)
-	_ sim.Reconstructor = OracleReconstructor{}
+	_ engine.Decider       = (*OracleDecider)(nil)
+	_ engine.Reconstructor = OracleReconstructor{}
 )

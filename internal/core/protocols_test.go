@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func TestForestReconstruct(t *testing.T) {
@@ -40,7 +40,7 @@ func TestForestReconstruct(t *testing.T) {
 
 func TestForestDetectsCycle(t *testing.T) {
 	for _, g := range []*graph.Graph{gen.Cycle(5), gen.Complete(4), gen.Grid(3, 3)} {
-		_, _, err := sim.RunReconstructor(g, ForestProtocol{}, sim.Sequential)
+		_, _, err := engine.RunReconstructor(g, ForestProtocol{}, engine.Serial{})
 		if err == nil {
 			t.Errorf("forest protocol accepted cyclic graph %v", g)
 		}
@@ -82,7 +82,7 @@ func TestBoundedDegreeReconstruct(t *testing.T) {
 
 func TestBoundedDegreeRejectsHighDegree(t *testing.T) {
 	g := gen.Star(10) // center has degree 9
-	_, _, err := sim.RunReconstructor(g, BoundedDegreeProtocol{D: 3}, sim.Sequential)
+	_, _, err := engine.RunReconstructor(g, BoundedDegreeProtocol{D: 3}, engine.Serial{})
 	if err == nil {
 		t.Error("expected rejection when a vertex exceeds the degree bound")
 	}
@@ -105,7 +105,7 @@ func TestGeneralizedDegeneracyOnDense(t *testing.T) {
 		if d <= 1 {
 			t.Fatal("test bug: complement should be dense")
 		}
-		if _, _, err := sim.RunReconstructor(g, &DegeneracyProtocol{K: 1}, sim.Sequential); err == nil {
+		if _, _, err := engine.RunReconstructor(g, &DegeneracyProtocol{K: 1}, engine.Serial{}); err == nil {
 			t.Fatal("plain k=1 should fail on a dense complement")
 		}
 		reconstructAndCheck(t, g, &GeneralizedDegeneracyProtocol{K: 1})
@@ -118,7 +118,7 @@ func TestGeneralizedDegeneracyMixed(t *testing.T) {
 	reconstructAndCheck(t, g, &GeneralizedDegeneracyProtocol{K: 0})
 	// C5 requires k=2 (degree 2 and co-degree 2 everywhere).
 	c5 := gen.Cycle(5)
-	if _, _, err := sim.RunReconstructor(c5, &GeneralizedDegeneracyProtocol{K: 1}, sim.Sequential); err == nil {
+	if _, _, err := engine.RunReconstructor(c5, &GeneralizedDegeneracyProtocol{K: 1}, engine.Serial{}); err == nil {
 		t.Error("C5 should be rejected at generalized k=1")
 	}
 	reconstructAndCheck(t, c5, &GeneralizedDegeneracyProtocol{K: 2})
@@ -144,7 +144,7 @@ func TestGeneralizedExhaustiveSmall(t *testing.T) {
 	for mask := uint64(0); mask < 1<<uint(total); mask++ {
 		g := graph.FromEdgeMask(n, mask)
 		_, ok := g.GeneralizedDegeneracyOrder(1)
-		h, _, err := sim.RunReconstructor(g, &GeneralizedDegeneracyProtocol{K: 1}, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, &GeneralizedDegeneracyProtocol{K: 1}, engine.Serial{})
 		if ok {
 			if err != nil {
 				t.Fatalf("mask %d: witness exists but protocol failed: %v", mask, err)
@@ -172,7 +172,7 @@ func TestOracleDeciders(t *testing.T) {
 			{NewConnectivityOracle(), g.IsConnected()},
 		}
 		for _, c := range cases {
-			got, _, err := sim.RunDecider(g, c.o, sim.Sequential)
+			got, _, err := engine.RunDecider(g, c.o, engine.Serial{})
 			if err != nil {
 				t.Fatalf("%s: %v", c.o.Name(), err)
 			}
@@ -202,7 +202,7 @@ func TestOracleReconstructor(t *testing.T) {
 
 func TestProtocolNames(t *testing.T) {
 	cases := []struct {
-		p    sim.Named
+		p    engine.Named
 		want string
 	}{
 		{ForestProtocol{}, "forest"},
@@ -237,7 +237,7 @@ func TestCapacityHelpers(t *testing.T) {
 	if CapacityBits(10, 7) != 70 {
 		t.Error("CapacityBits wrong")
 	}
-	tr := &sim.Transcript{N: 3, Messages: []bits.String{bits.FromBits(1, 0), bits.FromBits(1)}}
+	tr := &engine.Transcript{N: 3, Messages: []bits.String{bits.FromBits(1, 0), bits.FromBits(1)}}
 	if TranscriptCapacity(tr) != 3 {
 		t.Error("TranscriptCapacity wrong")
 	}
@@ -276,7 +276,7 @@ func TestOracleRejectsWrongRowLength(t *testing.T) {
 func TestForestRejectsWrongCount(t *testing.T) {
 	p := ForestProtocol{}
 	g := gen.Path(4)
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	if _, err := p.Reconstruct(5, tr.Messages); err == nil {
 		t.Error("message count mismatch should fail")
 	}
@@ -293,7 +293,7 @@ func TestLookupDecoderDegreeTooLarge(t *testing.T) {
 	// Star has degeneracy 1, so pruning works; use K4 to force failure.
 	_ = g
 	k4 := gen.Complete(4)
-	tr := sim.LocalPhase(k4, p, sim.Sequential)
+	tr := engine.LocalPhase(k4, p, engine.Serial{})
 	if _, err := p.Reconstruct(4, tr.Messages); err == nil {
 		t.Error("K4 with k=2 should fail")
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // This file makes the paper's Section II reductions executable. Each one
@@ -26,9 +26,9 @@ import (
 // legal because its gadget neighborhood N_G(i) ∪ {i+n} does not depend on
 // (s,t). The referee synthesizes the other n messages for every pair (s,t)
 // and asks Γ whether G'_{s,t} has a square, which holds iff s ~ t.
-type SquareReduction struct{ Gamma sim.Decider }
+type SquareReduction struct{ Gamma engine.Decider }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (r *SquareReduction) Name() string { return "reduction:square" }
 
 // LocalMessage sends exactly Γ's message for node id of G'_{s,t}:
@@ -78,9 +78,9 @@ func (r *SquareReduction) Reconstruct(n int, msgs []bits.String) (*graph.Graph, 
 // bystander, when it is s (gaining neighbor n+1), and when it is t (gaining
 // n+2). Every node always gains the universal vertex n+3. |Δˡ| ≈ 3|Γˡ| at
 // size n+3, plus framing.
-type DiameterReduction struct{ Gamma sim.Decider }
+type DiameterReduction struct{ Gamma engine.Decider }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (r *DiameterReduction) Name() string { return "reduction:diameter" }
 
 // LocalMessage sends the framed triple (m⁰, mˢ, mᵗ).
@@ -155,9 +155,9 @@ func (r *DiameterReduction) Reconstruct(n int, msgs []bits.String) (*graph.Graph
 //
 // Reconstruct only probes cross pairs (s ≤ n/2 < t): for bipartite G those
 // are the only possible edges, and G'_{s,t} has a triangle iff {s,t} ∈ E.
-type TriangleReduction struct{ Gamma sim.Decider }
+type TriangleReduction struct{ Gamma engine.Decider }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (r *TriangleReduction) Name() string { return "reduction:triangle" }
 
 // LocalMessage sends the framed pair (m', m”).
@@ -213,7 +213,7 @@ func (r *TriangleReduction) Reconstruct(n int, msgs []bits.String) (*graph.Graph
 }
 
 var (
-	_ sim.Reconstructor = (*SquareReduction)(nil)
-	_ sim.Reconstructor = (*DiameterReduction)(nil)
-	_ sim.Reconstructor = (*TriangleReduction)(nil)
+	_ engine.Reconstructor = (*SquareReduction)(nil)
+	_ engine.Reconstructor = (*DiameterReduction)(nil)
+	_ engine.Reconstructor = (*TriangleReduction)(nil)
 )

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // bitsString keeps the fake-decider declarations below compact.
@@ -227,7 +227,7 @@ func TestTriangleReductionReconstructsBipartite(t *testing.T) {
 func TestTriangleReductionRequiresEvenN(t *testing.T) {
 	delta := &TriangleReduction{Gamma: NewTriangleOracle()}
 	g := graph.New(5)
-	if _, _, err := sim.RunReconstructor(g, delta, sim.Sequential); err == nil {
+	if _, _, err := engine.RunReconstructor(g, delta, engine.Serial{}); err == nil {
 		t.Error("odd n should be rejected")
 	}
 }
@@ -242,7 +242,7 @@ func TestSquareReductionExhaustiveTiny(t *testing.T) {
 		if g.HasSquare() {
 			continue
 		}
-		h, _, err := sim.RunReconstructor(g, delta, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, delta, engine.Serial{})
 		if err != nil {
 			t.Fatalf("mask %d: %v", mask, err)
 		}
@@ -258,7 +258,7 @@ func TestDiameterReductionExhaustiveTiny(t *testing.T) {
 	total := n * (n - 1) / 2
 	for mask := uint64(0); mask < 1<<uint(total); mask++ {
 		g := graph.FromEdgeMask(n, mask)
-		h, _, err := sim.RunReconstructor(g, delta, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, delta, engine.Serial{})
 		if err != nil {
 			t.Fatalf("mask %d: %v", mask, err)
 		}
@@ -271,7 +271,7 @@ func TestDiameterReductionExhaustiveTiny(t *testing.T) {
 // A deliberately broken "decider" (always answers false) must produce the
 // empty reconstruction — reductions are only as good as Γ, which is the
 // contrapositive the theorems use.
-type alwaysNo struct{ inner sim.Decider }
+type alwaysNo struct{ inner engine.Decider }
 
 func (a alwaysNo) LocalMessage(n, id int, nbrs []int) bitsString {
 	return a.inner.LocalMessage(n, id, nbrs)
@@ -281,7 +281,7 @@ func (a alwaysNo) Decide(int, []bitsString) (bool, error) { return false, nil }
 func TestReductionWithBrokenDecider(t *testing.T) {
 	g := gen.Cycle(6)
 	delta := &SquareReduction{Gamma: alwaysNo{NewSquareOracle()}}
-	h, _, err := sim.RunReconstructor(g, delta, sim.Sequential)
+	h, _, err := engine.RunReconstructor(g, delta, engine.Serial{})
 	if err != nil {
 		t.Fatal(err)
 	}

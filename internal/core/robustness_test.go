@@ -5,9 +5,9 @@ import (
 	"testing/quick"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // flipBit returns a copy of s with bit i inverted.
@@ -32,7 +32,7 @@ func TestDegeneracyBitFlipRobustness(t *testing.T) {
 	rng := gen.NewRand(800)
 	g := gen.KTree(rng, 10, 2)
 	p := &DegeneracyProtocol{K: 2}
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	survived, rejected := 0, 0
 	for node := 0; node < g.N(); node++ {
 		for i := 0; i < tr.Messages[node].Len(); i++ {
@@ -46,7 +46,7 @@ func TestDegeneracyBitFlipRobustness(t *testing.T) {
 			survived++
 			// The only acceptable survival: the corrupted vector is exactly
 			// the encoding of h.
-			reenc := sim.LocalPhase(h, p, sim.Sequential)
+			reenc := engine.LocalPhase(h, p, engine.Serial{})
 			for j := range corrupted {
 				if !corrupted[j].Equal(reenc.Messages[j]) {
 					t.Fatalf("node %d bit %d: silent mis-reconstruction", node+1, i)
@@ -65,7 +65,7 @@ func TestForestBitFlipRobustness(t *testing.T) {
 	rng := gen.NewRand(801)
 	g := gen.RandomTree(rng, 9)
 	p := ForestProtocol{}
-	tr := sim.LocalPhase(g, p, sim.Sequential)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
 	for node := 0; node < g.N(); node++ {
 		for i := 0; i < tr.Messages[node].Len(); i++ {
 			corrupted := append(tr.Messages[:0:0], tr.Messages...)
@@ -74,7 +74,7 @@ func TestForestBitFlipRobustness(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			reenc := sim.LocalPhase(h, p, sim.Sequential)
+			reenc := engine.LocalPhase(h, p, engine.Serial{})
 			for j := range corrupted {
 				if !corrupted[j].Equal(reenc.Messages[j]) {
 					t.Fatalf("node %d bit %d: silent mis-reconstruction", node+1, i)
@@ -92,7 +92,7 @@ func TestQuickDegeneracyRoundTrip(t *testing.T) {
 		k := int(rawK)%4 + 1
 		g := gen.RandomKDegenerate(gen.NewRand(seed), n, k, false)
 		p := &DegeneracyProtocol{K: k}
-		h, _, err := sim.RunReconstructor(g, p, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, p, engine.Serial{})
 		return err == nil && h.Equal(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -107,7 +107,7 @@ func TestQuickGeneralizedRoundTrip(t *testing.T) {
 		n := int(rawN)%20 + 3
 		g := gen.RandomTree(gen.NewRand(seed), n).Complement()
 		p := &GeneralizedDegeneracyProtocol{K: 1}
-		h, _, err := sim.RunReconstructor(g, p, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, p, engine.Serial{})
 		return err == nil && h.Equal(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -122,7 +122,7 @@ func TestRelabelInvariance(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := gen.Relabel(rng, gen.Apollonian(rng, 20))
 		p := &DegeneracyProtocol{K: 3}
-		h, _, err := sim.RunReconstructor(g, p, sim.Sequential)
+		h, _, err := engine.RunReconstructor(g, p, engine.Serial{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -142,7 +142,7 @@ func TestReductionMessageRelations(t *testing.T) {
 	n := g.N()
 
 	sq := &SquareReduction{Gamma: NewSquareOracle()}
-	tr := sim.LocalPhase(g, sq, sim.Sequential)
+	tr := engine.LocalPhase(g, sq, engine.Serial{})
 	for _, m := range tr.Messages {
 		if m.Len() != oracleBits(2*n) {
 			t.Errorf("square: %d bits, want %d", m.Len(), oracleBits(2*n))
@@ -150,7 +150,7 @@ func TestReductionMessageRelations(t *testing.T) {
 	}
 
 	di := &DiameterReduction{Gamma: NewDiameterOracle(3)}
-	tr = sim.LocalPhase(g, di, sim.Sequential)
+	tr = engine.LocalPhase(g, di, engine.Serial{})
 	inner := 3 * oracleBits(n+3)
 	for _, m := range tr.Messages {
 		if m.Len() < inner || m.Len() > inner+3*(2*bits.Width(n+4)+1) {
@@ -159,7 +159,7 @@ func TestReductionMessageRelations(t *testing.T) {
 	}
 
 	trc := &TriangleReduction{Gamma: NewTriangleOracle()}
-	tr = sim.LocalPhase(g, trc, sim.Sequential)
+	tr = engine.LocalPhase(g, trc, engine.Serial{})
 	inner = 2 * oracleBits(n+1)
 	for _, m := range tr.Messages {
 		if m.Len() < inner || m.Len() > inner+2*(2*bits.Width(n+2)+1) {
@@ -173,7 +173,7 @@ func TestReductionMessageRelations(t *testing.T) {
 func TestReductionLocalPurity(t *testing.T) {
 	nbrs := []int{2, 5, 9}
 	orig := append([]int(nil), nbrs...)
-	protos := []sim.Local{
+	protos := []engine.Local{
 		&SquareReduction{Gamma: NewSquareOracle()},
 		&DiameterReduction{Gamma: NewDiameterOracle(3)},
 		&TriangleReduction{Gamma: NewTriangleOracle()},
@@ -197,7 +197,7 @@ func TestAdaptiveExhaustiveTiny(t *testing.T) {
 	total := n * (n - 1) / 2
 	for mask := uint64(0); mask < 1<<uint(total); mask++ {
 		g := graph.FromEdgeMask(n, mask)
-		res, err := sim.RunMultiRound(g, &AdaptiveReconstruction{}, 8, sim.Sequential)
+		res, err := engine.RunMultiRound(g, &AdaptiveReconstruction{}, 8, engine.Serial{})
 		if err != nil {
 			t.Fatalf("mask %d: %v", mask, err)
 		}

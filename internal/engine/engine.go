@@ -1,17 +1,24 @@
-// Package engine is the single execution pipeline of the repository: every
-// place that evaluates a one-round protocol — the abstract simulator in
-// internal/sim, the CONGEST realization in internal/congest, the collision
-// searches in internal/collide and the experiment kernels — routes the local
-// phase through this package.
+// Package engine is the one API for running a one-round protocol in the
+// referee model: an n-node interconnection network G plus a referee (a
+// universal node v0), where in one round every node sends the referee a
+// single message computed from its own ID, the IDs of its neighbors, and n.
+// Every place that evaluates a protocol — the public API, the CONGEST
+// realization in internal/congest, the collision searches in
+// internal/collide and the experiment kernels — routes the local phase
+// through this package.
 //
 // The paper's Definition 1 splits a protocol Γ into a local function Γˡₙ
 // (evaluated at every node) and a global function Γᵍₙ (run by the referee on
-// the message vector). That split is *semantic*. Orthogonal to it is the
-// *scheduling* split this package owns: how the n evaluations of Γˡ are laid
-// onto OS threads and in what order their messages are delivered. A
-// Scheduler changes wall-clock behavior only — every scheduler produces the
-// identical Transcript, because Γˡ is a pure function of (n, id, neighbors)
-// and the referee indexes messages by sender ID.
+// the message vector). Local is Γˡ; Decider and Reconstructor pair it with
+// the two shapes of Γᵍ the paper uses. That split is *semantic*. Orthogonal
+// to it is the *scheduling* split: how the n evaluations of Γˡ are laid onto
+// OS threads and in what order their messages are delivered. A Scheduler
+// changes wall-clock behavior only — every scheduler produces the identical
+// Transcript, because Γˡ is a pure function of (n, id, neighbors) and the
+// referee indexes messages by sender ID. Transcripts account for every bit,
+// so the frugality condition (max message size = O(log n)) is checked by
+// measurement rather than by trust. RunMultiRound (multiround.go) extends
+// the model to referee-driven adaptive rounds.
 //
 // On top of the single-graph pipeline sits the batch layer (batch.go): one
 // protocol over a stream of graphs across a persistent worker pool, with
@@ -34,9 +41,6 @@ import (
 // hypothetical graphs that are never materialized. The nbrs slice is only
 // valid for the duration of the call and must not be retained: every
 // scheduler reuses one neighbor buffer across millions of invocations.
-//
-// It is structurally identical to sim.Local, so protocol values flow between
-// the two packages without adapters.
 type Local interface {
 	LocalMessage(n, id int, nbrs []int) bits.String
 }
@@ -71,14 +75,17 @@ type VectorLocal interface {
 }
 
 // Decider is a one-round protocol whose referee answers a yes/no question
-// about the graph. Structurally identical to sim.Decider.
+// about the graph (e.g. "does G contain a square?").
 type Decider interface {
 	Local
+	// Decide is the global function: it sees only n and the n messages,
+	// ordered by sender ID.
 	Decide(n int, msgs []bits.String) (bool, error)
 }
 
 // Reconstructor is a one-round protocol whose referee outputs the entire
-// labelled graph. Structurally identical to sim.Reconstructor.
+// labelled graph (the paper's strongest goal; Lemma 1 counts how many graphs
+// any frugal one can tell apart).
 type Reconstructor interface {
 	Local
 	Reconstruct(n int, msgs []bits.String) (*graph.Graph, error)
@@ -89,7 +96,7 @@ type Named interface{ Name() string }
 
 // Transcript records one execution of the local phase: the message vector
 // Γˡ(G), ordered by sender ID. It is the unit of bit accounting for the
-// whole repository (internal/sim aliases it).
+// whole repository.
 type Transcript struct {
 	N        int
 	Messages []bits.String // Messages[i] is the message of node i+1
@@ -137,6 +144,18 @@ func Log2Ceil(n int) int {
 		b++
 	}
 	return b
+}
+
+// FrugalBudget is the message-size budget c·⌈log₂ n⌉ + c0 used by frugality
+// checks; the paper's protocols have c depending only on k.
+type FrugalBudget struct {
+	C  float64 // multiplier on ⌈log₂ n⌉
+	C0 int     // additive slack (covers tiny-n constants)
+}
+
+// Allows reports whether a transcript fits within the budget.
+func (b FrugalBudget) Allows(t *Transcript) bool {
+	return float64(t.MaxBits()) <= b.C*float64(Log2Ceil(t.N))+float64(b.C0)
 }
 
 // LocalPhase runs the local function of p at every node of g under the given

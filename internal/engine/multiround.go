@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"errors"
@@ -11,7 +11,16 @@ import (
 // The paper's closing question asks what more rounds buy. This file extends
 // the model minimally: in round r the referee may broadcast a message to all
 // nodes (it is adjacent to every node, so this is one more round of the same
-// network), and each node answers with a fresh O(log n)-bit message.
+// network), and each node answers with a fresh O(log n)-bit message. Each
+// round's local phase runs through LocalPhase, so every Scheduler applies.
+
+// NodeView is everything a node knows in the model: the network size, its
+// own identifier, and the identifiers of its neighbors (sorted ascending).
+type NodeView struct {
+	N         int
+	ID        int
+	Neighbors []int
+}
 
 // MultiRound is an adaptive protocol driven by the referee.
 type MultiRound interface {
@@ -46,21 +55,22 @@ func (r *MultiRoundResult) MaxNodeBits() int {
 }
 
 // ErrRoundLimit is returned when a protocol fails to finish in maxRounds.
-var ErrRoundLimit = errors.New("sim: round limit exceeded")
+var ErrRoundLimit = errors.New("engine: round limit exceeded")
 
-// RunMultiRound drives p on g for at most maxRounds rounds.
-func RunMultiRound(g *graph.Graph, p MultiRound, maxRounds int, mode Mode) (*MultiRoundResult, error) {
+// RunMultiRound drives p on g for at most maxRounds rounds, scheduling each
+// round's local phase with s.
+func RunMultiRound(g *graph.Graph, p MultiRound, maxRounds int, s Scheduler) (*MultiRoundResult, error) {
 	n := g.N()
 	res := &MultiRoundResult{}
 	var broadcast bits.String
 	for round := 1; round <= maxRounds; round++ {
 		local := roundLocal{p: p, round: round, broadcast: broadcast}
-		t := LocalPhase(g, local, mode)
+		t := LocalPhase(g, local, s)
 		res.PerRound = append(res.PerRound, t)
 		res.Rounds = round
 		done, out, bc, err := p.RefereeRound(round, n, t.Messages)
 		if err != nil {
-			return res, fmt.Errorf("sim: round %d: %w", round, err)
+			return res, fmt.Errorf("engine: round %d: %w", round, err)
 		}
 		if done {
 			res.Output = out
@@ -73,7 +83,7 @@ func RunMultiRound(g *graph.Graph, p MultiRound, maxRounds int, mode Mode) (*Mul
 }
 
 // roundLocal adapts one round of a MultiRound protocol to the Local
-// interface so LocalPhase (and its execution modes) can be reused.
+// interface so LocalPhase (and every scheduler) can be reused.
 type roundLocal struct {
 	p         MultiRound
 	round     int

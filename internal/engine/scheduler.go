@@ -164,8 +164,8 @@ func clampWorkers(w, n int) int {
 }
 
 // SchedulerByName resolves the -sched flag vocabulary of the cmd tools.
-// "sequential" and "parallel" are accepted as aliases for the names the old
-// sim.Mode constants went by.
+// "sequential" and "parallel" are accepted as aliases of "serial" and
+// "chunked".
 func SchedulerByName(name string) (Scheduler, bool) {
 	switch name {
 	case "serial", "sequential":

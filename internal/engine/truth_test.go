@@ -1,0 +1,141 @@
+package engine_test
+
+import (
+	"testing"
+
+	"refereenet/internal/collide"
+	"refereenet/internal/engine"
+)
+
+// bruteCount counts the labelled graphs on n vertices with property has,
+// building each graph's adjacency matrix straight from its edge mask. It
+// shares no code with internal/graph or internal/core: the bit-to-pair
+// order is this function's own, which cannot change a count over all masks.
+func bruteCount(n int, has func(adj [][]bool) bool) uint64 {
+	var pairs [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
+	adj := make([][]bool, n)
+	for i := range adj {
+		adj[i] = make([]bool, n)
+	}
+	var count uint64
+	for mask := uint64(0); mask < 1<<uint(len(pairs)); mask++ {
+		for b, p := range pairs {
+			on := mask>>uint(b)&1 == 1
+			adj[p[0]][p[1]], adj[p[1]][p[0]] = on, on
+		}
+		if has(adj) {
+			count++
+		}
+	}
+	return count
+}
+
+func hasTriangleBrute(adj [][]bool) bool {
+	n := len(adj)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for k := j + 1; k < n; k++ {
+				if adj[i][j] && adj[j][k] && adj[i][k] {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// hasSquareBrute: G contains a C4 iff two distinct vertices (opposite
+// corners) share at least two neighbours.
+func hasSquareBrute(adj [][]bool) bool {
+	n := len(adj)
+	for a := 0; a < n; a++ {
+		for c := a + 1; c < n; c++ {
+			common := 0
+			for b := 0; b < n; b++ {
+				if adj[a][b] && adj[c][b] {
+					common++
+				}
+			}
+			if common >= 2 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// diamAtMost3Brute runs a BFS from every vertex; a disconnected graph has
+// infinite diameter.
+func diamAtMost3Brute(adj [][]bool) bool {
+	n := len(adj)
+	dist := make([]int, n)
+	for s := 0; s < n; s++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue := []int{s}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for v := 0; v < n; v++ {
+				if adj[u][v] && dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		for _, d := range dist {
+			if d < 0 || d > 3 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestUndecidablePredicatesIndependentCounts ties the three predicates the
+// paper proves undecidable by frugal protocols to counts computed without
+// the repo's graph code, and demands that each oracle protocol accepts
+// exactly that many labelled graphs at n = 1…6 on both the vector and the
+// scalar batch path (oracle-diam3 has no lane kernel, so both of its runs
+// are scalar). The triangle-free complements 1, 2, 7, 41, 388, 5789 are
+// OEIS A006785.
+func TestUndecidablePredicatesIndependentCounts(t *testing.T) {
+	cases := []struct {
+		protocol string
+		has      func(adj [][]bool) bool
+		want     [6]uint64 // n = 1…6
+	}{
+		{"oracle-triangle", hasTriangleBrute, [6]uint64{0, 0, 1, 23, 636, 26979}},
+		{"oracle-square", hasSquareBrute, [6]uint64{0, 0, 0, 10, 476, 24784}},
+		{"oracle-diam3", diamAtMost3Brute, [6]uint64{1, 1, 4, 38, 668, 23464}},
+	}
+	for _, c := range cases {
+		for n := 1; n <= 6; n++ {
+			want := c.want[n-1]
+			if got := bruteCount(n, c.has); got != want {
+				t.Fatalf("%s n=%d: brute-force count %d, want %d", c.protocol, n, got, want)
+			}
+			total := uint64(1) << uint(n*(n-1)/2)
+			for _, noVector := range []bool{false, true} {
+				p, ok := engine.New(c.protocol, engine.Config{N: n})
+				if !ok {
+					t.Fatalf("protocol %q not registered", c.protocol)
+				}
+				b := engine.NewBatch(p, engine.BatchOptions{Workers: 1, Decide: true, MaxN: n, NoVector: noVector})
+				st := b.Run(collide.NewGraySource(n))
+				b.Close()
+				if st.Graphs != total || st.Accepted != want || st.Rejected != total-want || st.Errors != 0 {
+					t.Errorf("%s n=%d NoVector=%v: %+v, want %d of %d accepted",
+						c.protocol, n, noVector, st, want, total)
+				}
+			}
+		}
+	}
+}

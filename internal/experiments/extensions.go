@@ -4,9 +4,9 @@ import (
 	"math"
 
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 	"refereenet/internal/sketch"
 	"refereenet/internal/stats"
 )
@@ -59,7 +59,7 @@ func E9PartitionConnectivity(cfg Config) *stats.Report {
 func E12Extensions(cfg Config) *stats.Report {
 	a := stats.NewTable("One-round randomized connectivity via ℓ₀-sketches (public coins)",
 		"n", "msg bits", "bits/log³n", "trials", "success", "forest edges found")
-	a.Note = "AGM-style linear sketches run as a sim.Decider: polylog(n)-bit messages, one round. " +
+	a.Note = "AGM-style linear sketches run as a engine.Decider: polylog(n)-bit messages, one round. " +
 		"Contrast: deterministically, connectivity in one frugal round is the paper's open question."
 	sizes := pick(cfg.Quick, []int{16, 32}, []int{16, 32, 64, 128})
 	trials := 30
@@ -80,7 +80,7 @@ func E12Extensions(cfg Config) *stats.Report {
 			} else {
 				g = gen.DisjointCliques(2, n/2)
 			}
-			tr := sim.LocalPhase(g, sc, sim.Parallel)
+			tr := engine.LocalPhase(g, sc, engine.Chunked{})
 			got, err := sc.Decide(n, tr.Messages)
 			if err == nil && got == want {
 				success++
@@ -116,7 +116,7 @@ func E12Extensions(cfg Config) *stats.Report {
 	}
 	for _, c := range cases {
 		d, _ := c.g.Degeneracy()
-		res, err := sim.RunMultiRound(c.g, &core.AdaptiveReconstruction{}, 12, sim.Sequential)
+		res, err := engine.RunMultiRound(c.g, &core.AdaptiveReconstruction{}, 12, engine.Serial{})
 		if err != nil {
 			b.AddRow(c.name, c.g.N(), d, "error", "-", "-", "-")
 			continue
@@ -155,7 +155,7 @@ func E12Extensions(cfg Config) *stats.Report {
 					want = true
 				}
 			}
-			got, _, err := sim.RunDecider(g, sb, sim.Sequential)
+			got, _, err := engine.RunDecider(g, sb, engine.Serial{})
 			if err == nil && got == want {
 				success++
 			}

@@ -9,7 +9,6 @@ import (
 	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 	"refereenet/internal/stats"
 )
 
@@ -244,13 +243,13 @@ func E11Generalized(cfg Config) *stats.Report {
 	for _, c := range cases {
 		d, _ := c.g.Degeneracy()
 		plain := &core.DegeneracyProtocol{K: c.k}
-		_, _, errPlain := sim.RunReconstructor(c.g, plain, sim.Sequential)
+		_, _, errPlain := engine.RunReconstructor(c.g, plain, engine.Serial{})
 		plainVerdict := "reconstructs"
 		if errPlain != nil {
 			plainVerdict = "stuck (degeneracy > k)"
 		}
 		genp := &core.GeneralizedDegeneracyProtocol{K: c.k}
-		h, _, errGen := sim.RunReconstructor(c.g, genp, sim.Sequential)
+		h, _, errGen := engine.RunReconstructor(c.g, genp, engine.Serial{})
 		exact := errGen == nil && h.Equal(c.g)
 		t.AddRow(c.name, c.g.N(), c.g.M(), d, c.k, plainVerdict, c.k, boolMark(exact),
 			fmt.Sprintf("%d/%d", plain.MessageBits(c.g.N()), genp.MessageBits(c.g.N())))

@@ -4,9 +4,9 @@ import (
 	"time"
 
 	"refereenet/internal/core"
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 	"refereenet/internal/stats"
 )
 
@@ -34,7 +34,7 @@ func E4SquareReduction(cfg Config) *stats.Report {
 	delta := &SquareReductionCounter{Inner: &core.SquareReduction{Gamma: core.NewSquareOracle()}}
 	for _, g := range cases {
 		start := time.Now()
-		h, tr, err := sim.RunReconstructor(g, delta, sim.Sequential)
+		h, tr, err := engine.RunReconstructor(g, delta, engine.Serial{})
 		elapsed := time.Since(start)
 		exact := err == nil && h.Equal(g)
 		sizeOK := tr.MaxBits() == 2*g.N()
@@ -101,7 +101,7 @@ func E5DiameterReduction(cfg Config) *stats.Report {
 		for _, p := range []float64{0.25, 0.75} {
 			g := gen.Gnp(rng, n, p)
 			start := time.Now()
-			h, tr, err := sim.RunReconstructor(g, delta, sim.Sequential)
+			h, tr, err := engine.RunReconstructor(g, delta, engine.Serial{})
 			elapsed := time.Since(start)
 			exact := err == nil && h.Equal(g)
 			recon.AddRow("G(n,p="+trim(p)+")", n, g.M(), tr.MaxBits(), 3*(n+3), boolMark(exact), elapsed)
@@ -133,7 +133,7 @@ func E6TriangleReduction(cfg Config) *stats.Report {
 	for _, n := range sizes {
 		g := gen.RandomBipartite(rng, n/2, n/2, 0.4)
 		start := time.Now()
-		h, tr, err := sim.RunReconstructor(g, delta, sim.Sequential)
+		h, tr, err := engine.RunReconstructor(g, delta, engine.Serial{})
 		elapsed := time.Since(start)
 		exact := err == nil && h.Equal(g)
 		recon.AddRow("random bipartite", n, g.M(), tr.MaxBits(), 2*(n+1), boolMark(exact), elapsed)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // SketchBipartiteness probes the paper's second open question ("whether one
@@ -42,7 +42,7 @@ func NewSketchBipartiteness(n int, seed int64) *SketchBipartiteness {
 	}
 }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (sb *SketchBipartiteness) Name() string { return "sketch-bipartiteness" }
 
 // MessageBits returns the exact per-node message size on n-node graphs.
@@ -131,6 +131,6 @@ func DoubleCover(g *graph.Graph) *graph.Graph {
 }
 
 var (
-	_ sim.Decider = (*SketchBipartiteness)(nil)
-	_ sim.Named   = (*SketchBipartiteness)(nil)
+	_ engine.Decider = (*SketchBipartiteness)(nil)
+	_ engine.Named   = (*SketchBipartiteness)(nil)
 )

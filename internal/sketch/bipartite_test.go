@@ -3,9 +3,9 @@ package sketch
 import (
 	"testing"
 
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 func TestDoubleCoverIdentity(t *testing.T) {
@@ -63,7 +63,7 @@ func TestSketchBipartitenessBasic(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sb := NewSketchBipartiteness(c.g.N(), 1234)
-			got, _, err := sim.RunDecider(c.g, sb, sim.Sequential)
+			got, _, err := engine.RunDecider(c.g, sb, engine.Serial{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestSketchBipartitenessSuccessRate(t *testing.T) {
 			}
 		}
 		sb := NewSketchBipartiteness(g.N(), int64(3000+trial))
-		got, _, err := sim.RunDecider(g, sb, sim.Sequential)
+		got, _, err := engine.RunDecider(g, sb, engine.Serial{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestSketchBipartitenessMessageBits(t *testing.T) {
 	n := 16
 	sb := NewSketchBipartiteness(n, 9)
 	g := gen.Cycle(n)
-	tr := sim.LocalPhase(g, sb, sim.Sequential)
+	tr := engine.LocalPhase(g, sb, engine.Serial{})
 	want := sb.MessageBits(n)
 	for i, m := range tr.Messages {
 		if m.Len() != want {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/engine"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // SketchConnectivity is a one-round randomized protocol for connectivity in
@@ -15,7 +15,7 @@ import (
 // deterministic lower-bound landscape of Section IV: one round suffices if
 // you may flip shared coins and spend O(log³ n) bits.
 //
-// It implements sim.Decider, so it runs under the exact same harness as the
+// It implements engine.Decider, so it runs under the exact same harness as the
 // oracles and strawmen. Decide can err on disconnected-looking samples with
 // small probability; experiment E12 measures the success rate.
 type SketchConnectivity struct{ Params Params }
@@ -25,7 +25,7 @@ func NewSketchConnectivity(n int, seed int64) *SketchConnectivity {
 	return &SketchConnectivity{Params: DefaultParams(n, seed)}
 }
 
-// Name implements sim.Named.
+// Name implements engine.Named.
 func (sc *SketchConnectivity) Name() string { return "sketch-connectivity" }
 
 // MessageBits returns the exact per-node message size for graphs on n nodes.
@@ -124,6 +124,6 @@ func (sc *SketchConnectivity) SpanningForest(n int, msgs []bits.String) ([][2]in
 }
 
 var (
-	_ sim.Decider = (*SketchConnectivity)(nil)
-	_ sim.Named   = (*SketchConnectivity)(nil)
+	_ engine.Decider = (*SketchConnectivity)(nil)
+	_ engine.Named   = (*SketchConnectivity)(nil)
 )

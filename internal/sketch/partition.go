@@ -10,8 +10,8 @@
 //  2. The randomized escape hatch: with public randomness, linear ℓ₀-sampling
 //     sketches (Ahn–Guha–McGregor style) decide connectivity in ONE round
 //     with polylog(n)-bit messages — more than O(log n), but a sharp contrast
-//     to the deterministic pessimism. SketchConnectivity realizes it as a
-//     sim.Decider.
+//     to the deterministic pessimism. SketchConnectivity realizes it as an
+//     engine.Decider.
 package sketch
 
 import (

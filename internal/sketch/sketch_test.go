@@ -3,9 +3,9 @@ package sketch
 import (
 	"testing"
 
+	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 )
 
 // --- Partition connectivity (paper §IV remark) ---
@@ -120,7 +120,7 @@ func TestSketchConnectivityConnected(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := gen.ConnectedGnp(rng, 24, 0.12)
 		sc := NewSketchConnectivity(24, int64(500+trial))
-		conn, _, err := sim.RunDecider(g, sc, sim.Sequential)
+		conn, _, err := engine.RunDecider(g, sc, engine.Serial{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestSketchConnectivityDisconnected(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := gen.DisjointCliques(2, 8)
 		sc := NewSketchConnectivity(16, int64(600+trial))
-		conn, _, err := sim.RunDecider(g, sc, sim.Sequential)
+		conn, _, err := engine.RunDecider(g, sc, engine.Serial{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestSketchSpanningForestEdgesAreReal(t *testing.T) {
 	rng := gen.NewRand(403)
 	g := gen.ConnectedGnp(rng, 20, 0.15)
 	sc := NewSketchConnectivity(20, 7)
-	tr := sim.LocalPhase(g, sc, sim.Sequential)
+	tr := engine.LocalPhase(g, sc, engine.Serial{})
 	forest, err := sc.SpanningForest(20, tr.Messages)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestSketchSuccessRate(t *testing.T) {
 			g = gen.DisjointCliques(2, n/2)
 		}
 		sc := NewSketchConnectivity(n, int64(9000+trial))
-		got, _, err := sim.RunDecider(g, sc, sim.Sequential)
+		got, _, err := engine.RunDecider(g, sc, engine.Serial{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestSketchSuccessRate(t *testing.T) {
 func TestSketchMessageBitsExact(t *testing.T) {
 	g := gen.Cycle(12)
 	sc := NewSketchConnectivity(12, 3)
-	tr := sim.LocalPhase(g, sc, sim.Sequential)
+	tr := engine.LocalPhase(g, sc, engine.Serial{})
 	want := sc.MessageBits(12)
 	for i, m := range tr.Messages {
 		if m.Len() != want {
@@ -224,7 +224,7 @@ func TestSketchLinearity(t *testing.T) {
 	rng := gen.NewRand(405)
 	g := gen.Gnp(rng, 12, 0.4)
 	sc := NewSketchConnectivity(12, 11)
-	tr := sim.LocalPhase(g, sc, sim.Sequential)
+	tr := engine.LocalPhase(g, sc, engine.Serial{})
 	sum := newNodeSketch(sc.Params)
 	for i := range tr.Messages {
 		s, err := parseSketch(12, sc.Params, tr.Messages[i])
@@ -242,7 +242,7 @@ func TestSketchLinearity(t *testing.T) {
 
 func TestSketchSingleVertexAndEmpty(t *testing.T) {
 	sc := NewSketchConnectivity(1, 1)
-	conn, _, err := sim.RunDecider(graph.New(1), sc, sim.Sequential)
+	conn, _, err := engine.RunDecider(graph.New(1), sc, engine.Serial{})
 	if err != nil || !conn {
 		t.Errorf("single vertex: conn=%v err=%v", conn, err)
 	}
@@ -252,8 +252,8 @@ func TestSketchDeterministicGivenSeed(t *testing.T) {
 	g := gen.Cycle(10)
 	a := NewSketchConnectivity(10, 42)
 	b := NewSketchConnectivity(10, 42)
-	ta := sim.LocalPhase(g, a, sim.Sequential)
-	tb := sim.LocalPhase(g, b, sim.Sequential)
+	ta := engine.LocalPhase(g, a, engine.Serial{})
+	tb := engine.LocalPhase(g, b, engine.Serial{})
 	for i := range ta.Messages {
 		if !ta.Messages[i].Equal(tb.Messages[i]) {
 			t.Fatal("same seed produced different sketches")

@@ -334,6 +334,11 @@ func TestSweepManifestRejectsDifferentPlan(t *testing.T) {
 }
 
 func TestSweepRetriesTransientFailures(t *testing.T) {
+	// Forget earlier runs' failures, so every unit fails once again under
+	// -count > 1.
+	flakyFailed.Lock()
+	flakyFailed.m = map[uint64]bool{}
+	flakyFailed.Unlock()
 	const n = 4
 	want := monolithic(t, "degree", n, false)
 	plan := grayPlan(t, "degree", n, 3, false)

@@ -13,10 +13,11 @@
 // This root package is a small convenience facade over plain data (vertex
 // counts and edge lists); the full API lives in the internal packages:
 //
-//	internal/engine   — the single execution pipeline: schedulers (serial,
-//	                    chunked, async-shuffled), the protocol registry, and
-//	                    batched multi-graph runs with unified bit accounting
-//	internal/sim      — the model (Definition 1); thin names over the engine
+//	internal/engine   — the model (Definition 1) and its single execution
+//	                    pipeline: schedulers (serial, chunked,
+//	                    async-shuffled), multi-round runs, the protocol
+//	                    registry, and batched multi-graph runs with unified
+//	                    bit accounting
 //	internal/core     — the paper's protocols and reductions
 //	internal/graph    — labelled graphs and algorithms
 //	internal/gen      — graph-family generators (gen.ByName is the shared
@@ -39,7 +40,6 @@ import (
 	"refereenet/internal/core"
 	"refereenet/internal/engine"
 	"refereenet/internal/graph"
-	"refereenet/internal/sim"
 
 	// Linked for their engine registry entries, so Protocols reports the
 	// full lineup library users can resolve by name.
@@ -75,7 +75,7 @@ func Reconstruct(n int, edges [][2]int) ([][2]int, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("refereenet: %w", err)
 	}
-	res, err := sim.RunMultiRound(g, &core.AdaptiveReconstruction{}, 2*bitsLen(n)+2, sim.Parallel)
+	res, err := engine.RunMultiRound(g, &core.AdaptiveReconstruction{}, 2*bitsLen(n)+2, engine.Chunked{})
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("refereenet: %w", err)
 	}
@@ -99,7 +99,7 @@ func ReconstructWithK(n, k int, edges [][2]int) ([][2]int, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("refereenet: %w", err)
 	}
 	p := &core.DegeneracyProtocol{K: k}
-	h, tr, err := sim.RunReconstructor(g, p, sim.Parallel)
+	h, tr, err := engine.RunReconstructor(g, p, engine.Chunked{})
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("refereenet: %w", err)
 	}
@@ -120,7 +120,7 @@ func RecognizeDegeneracy(n, k int, edges [][2]int) (bool, error) {
 		return false, fmt.Errorf("refereenet: %w", err)
 	}
 	p := &core.DegeneracyProtocol{K: k}
-	tr := sim.LocalPhase(g, p, sim.Parallel)
+	tr := engine.LocalPhase(g, p, engine.Chunked{})
 	ok, err := p.Recognize(n, tr.Messages)
 	if err != nil {
 		return false, fmt.Errorf("refereenet: %w", err)
@@ -136,7 +136,7 @@ func bitsLen(n int) int {
 	return b
 }
 
-func totalAcrossRounds(res *sim.MultiRoundResult) int {
+func totalAcrossRounds(res *engine.MultiRoundResult) int {
 	total := res.BroadcastBits
 	for _, tr := range res.PerRound {
 		total += tr.TotalBits()
