@@ -29,13 +29,14 @@
 // the same Unit/Result line protocol over accepted TCP connections, behind a
 // handshake that rejects coordinators built from a different registry lineup
 // or wire version (docs/sweep-protocol.md specifies the wire format). A
-// coordinator drives a remote fleet with -connect, splitting the plan across
-// fleets (';'-separated) and failing over within a fleet (','-separated):
+// coordinator drives remote daemons with -connect: one worker slot per listed
+// address (','- or ';'-separated), every slot pulling from one work queue and
+// failing over to the other addresses when its daemon dies:
 //
 //	refereesim serve -listen :7171                 # on every worker machine
 //	refereesim serve -listen :7171 -parallel 8     # one pool of 8 workers shared by every connection
 //	refereesim sweep -protocol hash16 -n 8 -connect host1:7171,host2:7171
-//	refereesim sweep -protocol hash16 -n 8 -connect 'rack1:7171;rack2:7171' -manifest n8.manifest
+//	refereesim sweep -protocol hash16 -n 8 -connect rack1:7171,rack2:7171 -manifest n8.manifest
 //	refereesim sweep -protocol oracle-conn -decide -n 9 -ranks 34359738368:34493956096 -connect host1:7171
 package main
 

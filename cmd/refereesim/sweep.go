@@ -35,7 +35,7 @@ func runSweep(args []string) {
 	units := fs.Int("units", 0, "work units to split the sweep into (0 = 4 per worker)")
 	ranks := fs.String("ranks", "", "sub-range lo:hi of the sweep space (default: all of it): Gray-code ranks for the labelled enumeration, class indices for -source canon; lets a fleet split the space across machines")
 	source := fs.String("source", "gray", "enumeration source: gray sweeps every labelled graph, canon sweeps one representative per isomorphism class with orbit weights (identical merged totals, ~2.5e5x fewer evaluations at n=9)")
-	connect := fs.String("connect", "", "drive remote `refereesim serve` daemons instead of executing in-process: fleets separated by ';', addresses by ',' (e.g. host1:7171,host1:7172;host2:7171); repeat an address for extra streams")
+	connect := fs.String("connect", "", "drive remote `refereesim serve` daemons instead of executing in-process: addresses separated by ',' or ';' (e.g. host1:7171,host1:7172,host2:7171), one worker slot each; repeat an address for extra streams")
 	corpusPath := fs.String("corpus", "", "sweep a word-packed edge-mask corpus file (written by graphgen -emit) instead of the labelled-graph enumeration")
 	family := fs.String("gen", "", "sweep a generated family (gen.ByName name) instead of the labelled-graph enumeration")
 	count := fs.Int("count", 10000, "graphs to generate in -gen mode")
@@ -61,19 +61,16 @@ func runSweep(args []string) {
 		log.Fatalf("unknown protocol %q (try refereesim -list)", *protocol)
 	}
 
-	var fleets []sweep.Fleet
+	var addrs []string
 	if *connect != "" {
 		var perr error
-		fleets, perr = sweep.ParseFleets(*connect)
+		addrs, perr = sweep.ParseAddrs(*connect)
 		if perr != nil {
 			log.Fatal(perr)
 		}
-		// Remote fleets size themselves from the address list, not this
+		// Remote slots size themselves from the address list, not this
 		// machine's CPU count.
-		*workers = 0
-		for _, f := range fleets {
-			*workers += len(f.Addrs)
-		}
+		*workers = len(addrs)
 	}
 	if *units <= 0 {
 		*units = 4 * *workers
@@ -150,6 +147,7 @@ func runSweep(args []string) {
 
 	opts := sweep.Options{
 		Workers:          *workers,
+		Dial:             addrs,
 		Retries:          *retries,
 		Manifest:         *manifest,
 		UnitTimeout:      *unitTimeout,
@@ -170,12 +168,7 @@ func runSweep(args []string) {
 	}
 
 	start := time.Now()
-	var rep sweep.SweepReport
-	if len(fleets) > 0 {
-		rep, err = sweep.RunFleets(plan, fleets, opts)
-	} else {
-		rep, err = sweep.Run(plan, opts)
-	}
+	rep, err := sweep.Run(plan, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		log.Fatal(err)

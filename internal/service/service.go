@@ -67,21 +67,23 @@ type Config struct {
 	// CacheSize bounds the result cache in entries (default 256; 0 uses
 	// the default, negative disables caching).
 	CacheSize int
-	// JobHistory bounds retained terminal job records (default 1024).
-	// Evicted job IDs stop resolving on GET; cached results keep their
-	// job retrievable until the cache itself evicts them.
-	JobHistory int
-	// MaxShards rejects plans larger than this many shards (default 4096).
-	MaxShards int
-	// Retries is the per-unit retry budget inside a job (default 1).
-	Retries int
-	// UnitTimeout is the per-unit deadline inside a job; 0 disables.
-	UnitTimeout time.Duration
-	// RetryAfter is the hint on 429 responses (default 1s).
-	RetryAfter time.Duration
 	// Log receives job lifecycle lines; nil discards.
 	Log io.Writer
 }
+
+const (
+	// jobHistory bounds retained terminal job records. Evicted job IDs stop
+	// resolving on GET; cached results keep their job retrievable until the
+	// cache itself evicts them.
+	jobHistory = 1024
+	// maxShards rejects plans larger than this many shards.
+	maxShards = 4096
+	// unitRetries is the per-unit retry budget inside a job. Jobs run with
+	// no per-unit deadline.
+	unitRetries = 1
+	// retryAfter is the hint on 429 responses.
+	retryAfter = time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxJobs < 1 {
@@ -92,20 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
-	}
-	if c.JobHistory < 1 {
-		c.JobHistory = 1024
-	}
-	if c.MaxShards < 1 {
-		c.MaxShards = 4096
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -354,12 +342,12 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...interface{
 // validatePlan rejects plans this binary's registries cannot execute —
 // cheaply, at the door, so a typo'd protocol name costs a 400 instead of a
 // job's retry budget.
-func (s *Server) validatePlan(plan engine.Plan) error {
+func validatePlan(plan engine.Plan) error {
 	if len(plan.Shards) == 0 {
 		return errors.New("plan has no shards")
 	}
-	if len(plan.Shards) > s.cfg.MaxShards {
-		return fmt.Errorf("plan has %d shards, limit %d", len(plan.Shards), s.cfg.MaxShards)
+	if len(plan.Shards) > maxShards {
+		return fmt.Errorf("plan has %d shards, limit %d", len(plan.Shards), maxShards)
 	}
 	kinds := make(map[string]bool)
 	for _, k := range engine.SourceKinds() {
@@ -393,7 +381,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "malformed plan: %v", err)
 		return
 	}
-	if err := s.validatePlan(plan); err != nil {
+	if err := validatePlan(plan); err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid plan: %v", err)
 		return
 	}
@@ -441,7 +429,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// a slot (or the same plan is in the cache).
 		s.m.jobsRejected.Add(1)
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeErr(w, http.StatusTooManyRequests, "job queue full (%d queued); retry later", s.cfg.QueueDepth)
 		return
 	}
@@ -462,12 +450,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // bound. Jobs still answering cache hits are kept so a cached POST's job ID
 // stays GETtable; the cache's own eviction makes them reapable later.
 func (s *Server) evictHistoryLocked() {
-	if len(s.jobs) <= s.cfg.JobHistory {
+	if len(s.jobs) <= jobHistory {
 		return
 	}
 	kept := s.order[:0]
 	for i, j := range s.order {
-		if len(s.jobs) <= s.cfg.JobHistory {
+		if len(s.jobs) <= jobHistory {
 			kept = append(kept, s.order[i:]...)
 			break
 		}
@@ -597,12 +585,11 @@ func (s *Server) runJob(j *job) {
 	}
 	start := time.Now()
 	rep, err := sweep.Run(j.plan, sweep.Options{
-		Transport:   timedTransport{sweep.InProcess{Executor: s.exec}, s.m.unitLatency},
-		Workers:     workers,
-		Retries:     s.cfg.Retries,
-		UnitTimeout: s.cfg.UnitTimeout,
-		Progress:    j.setProgress,
-		Log:         s.log,
+		Transport: timedTransport{sweep.InProcess{Executor: s.exec}, s.m.unitLatency},
+		Workers:   workers,
+		Retries:   unitRetries,
+		Progress:  j.setProgress,
+		Log:       s.log,
 	})
 	s.m.jobLatency.observe(time.Since(start))
 	s.m.unitRetries.Add(uint64(rep.Retries))

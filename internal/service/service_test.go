@@ -458,6 +458,8 @@ func TestServiceRejectsInvalidPlans(t *testing.T) {
 		{"unknown protocol", `{"shards":[{"protocol":"nope","source":{"kind":"gray","n":5,"hi":32}}]}`},
 		{"unknown source kind", `{"shards":[{"protocol":"hash16","source":{"kind":"nope","n":5,"hi":32}}]}`},
 		{"unknown scheduler", `{"shards":[{"protocol":"hash16","sched":"nope","source":{"kind":"gray","n":5,"hi":32}}]}`},
+		{"too many shards", `{"shards":[` + strings.Repeat(`{"protocol":"hash16","source":{"kind":"gray","n":5,"hi":32}},`, maxShards) +
+			`{"protocol":"hash16","source":{"kind":"gray","n":5,"hi":32}}]}`},
 	}
 	for _, tc := range cases {
 		code, _, raw := postBody(t, ts, []byte(tc.body))

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -288,7 +289,7 @@ func ParseChaos(s string) (*ChaosOptions, error) {
 			}
 		case "drop", "lose", "hang", "delay", "corrupt", "dialfail":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || math.IsNaN(r) || r < 0 || r > 1 {
 				return nil, fmt.Errorf("chaos: rate %s=%q must be a number in [0,1]", key, val)
 			}
 			switch key {

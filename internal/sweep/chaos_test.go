@@ -203,6 +203,8 @@ func TestParseChaos(t *testing.T) {
 	for _, bad := range []string{
 		"drop=2",            // rate out of range
 		"drop=-0.1",         // negative rate
+		"drop=NaN,hang=nan", // non-finite rates
+		"lose=+Inf",         // infinite rate
 		"bogus=1",           // unknown key
 		"drop",              // not key=value
 		"hangfor=fast",      // unparseable duration

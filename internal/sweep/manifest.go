@@ -35,8 +35,8 @@ func Fingerprint(plan engine.Plan) (string, error) {
 
 // manifest appends checkpoint records to an open file. A nil *manifest
 // (checkpointing disabled) accepts writes and drops them. record is
-// mutex-guarded: under RunFleets every fleet's coordinator checkpoints into
-// the one shared manifest.
+// mutex-guarded so the manifest stays safe to share between goroutines; the
+// coordinator records from its accounting goroutine only.
 type manifest struct {
 	mu sync.Mutex
 	f  *os.File

@@ -46,12 +46,13 @@
 //     finished unit (see manifest.go) — so a killed coordinator resumes where
 //     it stopped instead of restarting at rank 0.
 //
-// Run and RunFleets return a SweepReport carrying the merged stats plus the
-// robustness counters (retries, requeues, hedges, deadline kills, breaker
-// trips), and ChaosTransport (chaos.go) injects all of the above failure
-// modes on a deterministic seed for tests and soaks. RunFleets (fleet.go)
-// stacks a meta-coordinator on top: one global plan and manifest, split
-// across per-machine fleets.
+// Run is the one coordinator entry point, whether the daemons share a machine
+// or span several: every worker slot pulls from one work queue, so a dead
+// daemon address cannot strand units while another is reachable. It returns
+// a SweepReport carrying the merged stats plus the robustness counters
+// (retries, requeues, hedges, deadline kills, breaker trips), and
+// ChaosTransport (chaos.go) injects all of the above failure modes on a
+// deterministic seed for tests and soaks.
 //
 // The wire protocol is specified in docs/sweep-protocol.md; third-party
 // workers can be written against it.
@@ -127,16 +128,16 @@ type Options struct {
 	// reaches its terminal state — merged into the totals or permanently
 	// failed — with the running count of terminal units and the plan's
 	// total unit count. Units restored from the manifest are reported once,
-	// up front, as a single call carrying the restored count. RunFleets
-	// runs one coordinator per fleet, so calls may be concurrent: the
-	// callback must be goroutine-safe and cheap (it runs on a coordinator's
-	// accounting goroutine). The job service (internal/service) hangs its
+	// up front, as a single call carrying the restored count. The callback
+	// must be goroutine-safe and cheap: it runs inside the coordinator's
+	// accounting loop, and whatever reads the progress it records runs on
+	// other goroutines. The job service (internal/service) hangs its
 	// per-job progress API on this hook.
 	Progress func(done, total int)
 }
 
-// breaker builds the per-fleet endpoint breaker from the options, or nil
-// when disabled.
+// breaker builds the endpoint breaker every slot shares from the options, or
+// nil when disabled.
 func (o Options) breaker() *Breaker {
 	if o.BreakerThreshold < 0 {
 		return nil
@@ -169,7 +170,7 @@ func (o Options) transport() (Transport, int, *Breaker) {
 	}
 }
 
-// SweepReport is what Run and RunFleets return: the merged stats plus the
+// SweepReport is what Run returns: the merged stats plus the
 // robustness counters that say how hard the fleet had to work for them.
 type SweepReport struct {
 	// Stats is the merged BatchStats of every unit — the answer.
@@ -195,29 +196,11 @@ type SweepReport struct {
 	// already merged (hedge losers, duplicate executions after a lost
 	// result). Each unit is merged exactly once no matter what this says.
 	Duplicates int
-	// BreakerTrips counts endpoint quarantine events across all fleets.
+	// BreakerTrips counts endpoint quarantine events.
 	BreakerTrips int
 }
 
-// counters is the atomic backing for a SweepReport, shared by every
-// coordinator of a run.
-type counters struct {
-	executed, failed, retries, requeues          atomic.Int64
-	hedges, hedgeWins, deadlineKills, duplicates atomic.Int64
-}
-
-func (c *counters) fill(rep *SweepReport) {
-	rep.Executed = int(c.executed.Load())
-	rep.Failed = int(c.failed.Load())
-	rep.Retries = int(c.retries.Load())
-	rep.Requeues = int(c.requeues.Load())
-	rep.Hedges = int(c.hedges.Load())
-	rep.HedgeWins = int(c.hedgeWins.Load())
-	rep.DeadlineKills = int(c.deadlineKills.Load())
-	rep.Duplicates = int(c.duplicates.Load())
-}
-
-// Run executes every shard of plan across the worker fleet and returns the
+// Run executes every shard of plan across the worker slots and returns the
 // merged stats and robustness counters. Units already recorded in the
 // manifest are not re-executed; their checkpointed stats are merged in. On
 // unit failure past the retry budget Run finishes the remaining units, then
@@ -228,26 +211,6 @@ func Run(plan engine.Plan, opts Options) (SweepReport, error) {
 	if opts.Chaos != nil {
 		tr = NewChaosTransport(tr, *opts.Chaos)
 	}
-	return runGroups(plan, opts, []fleetGroup{{transport: tr, workers: workers, breaker: br}})
-}
-
-// fleetGroup is one fleet's slice of a sweep: a transport plus how many
-// concurrent slots dial through it, plus the fleet's endpoint breaker (nil
-// for non-TCP transports). runGroups assigns each group a contiguous block
-// of the pending units.
-type fleetGroup struct {
-	name      string
-	transport Transport
-	workers   int
-	breaker   *Breaker
-}
-
-// runGroups is the executor shared by Run (one group) and RunFleets (one
-// group per fleet): restore the manifest, split the pending units across
-// groups proportionally to their worker counts, run every group's
-// coordinator concurrently against the shared manifest, and merge.
-func runGroups(plan engine.Plan, opts Options, groups []fleetGroup) (SweepReport, error) {
-	opts.Log = wrapLog(opts.Log)
 	mf, done, err := openManifest(opts.Manifest, plan)
 	if err != nil {
 		return SweepReport{}, err
@@ -263,85 +226,24 @@ func runGroups(plan engine.Plan, opts Options, groups []fleetGroup) (SweepReport
 		}
 		units = append(units, Unit{ID: id, Spec: spec})
 	}
-	logf(opts.Log, "sweep: %d units (%d restored from manifest), %d groups", len(units), len(done), len(groups))
-	var progress func()
-	if opts.Progress != nil {
-		total := len(plan.Shards)
-		var terminal atomic.Int64
-		terminal.Store(int64(rep.Restored))
-		if rep.Restored > 0 {
-			opts.Progress(rep.Restored, total)
-		}
-		progress = func() { opts.Progress(int(terminal.Add(1)), total) }
+	logf(opts.Log, "sweep: %d units (%d restored from manifest) over %d workers via %s",
+		len(units), len(done), workers, tr.Name())
+	if opts.Progress != nil && rep.Restored > 0 {
+		opts.Progress(rep.Restored, rep.Units)
 	}
 	if len(units) == 0 {
 		return rep, nil
 	}
 
-	ctr := &counters{}
-	parts := partitionUnits(units, groups)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for gi := range groups {
-		if len(parts[gi]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(g fleetGroup, part []Unit) {
-			defer wg.Done()
-			c := &coordinator{opts: opts, group: g, mf: mf, ctr: ctr, progress: progress}
-			st, err := c.run(part)
-			mu.Lock()
-			rep.Stats.Merge(st)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(groups[gi], parts[gi])
-	}
-	wg.Wait()
-	ctr.fill(&rep)
-	for _, g := range groups {
-		rep.BreakerTrips += int(g.breaker.Trips())
-	}
+	c := &coordinator{opts: opts, transport: tr, workers: workers, breaker: br, mf: mf, rep: &rep}
+	err = c.run(units)
+	rep.DeadlineKills = int(c.deadlineKills.Load())
+	rep.BreakerTrips = int(br.Trips())
 	logf(opts.Log,
 		"sweep: done: units=%d restored=%d executed=%d failed=%d retries=%d requeues=%d hedges=%d hedge_wins=%d deadline_kills=%d breaker_trips=%d duplicates=%d",
 		rep.Units, rep.Restored, rep.Executed, rep.Failed, rep.Retries, rep.Requeues,
 		rep.Hedges, rep.HedgeWins, rep.DeadlineKills, rep.BreakerTrips, rep.Duplicates)
-	return rep, firstErr
-}
-
-// partitionUnits splits units into contiguous blocks proportional to each
-// group's worker count — the meta-coordinator's "split the global rank space
-// across fleets" step. Every unit lands in exactly one block.
-func partitionUnits(units []Unit, groups []fleetGroup) [][]Unit {
-	totalWeight := 0
-	for _, g := range groups {
-		w := g.workers
-		if w < 1 {
-			w = 1
-		}
-		totalWeight += w
-	}
-	parts := make([][]Unit, len(groups))
-	start, accum := 0, 0
-	for gi, g := range groups {
-		w := g.workers
-		if w < 1 {
-			w = 1
-		}
-		accum += w
-		end := len(units) * accum / totalWeight
-		if gi == len(groups)-1 {
-			end = len(units)
-		}
-		parts[gi] = units[start:end]
-		start = end
-	}
-	return parts
+	return rep, err
 }
 
 // dispatch is one trip of a unit through a worker slot. A unit can have at
@@ -359,18 +261,23 @@ type outcome struct {
 	hedge bool
 }
 
-// coordinator drives one group's units through its transport's worker slots.
+// coordinator drives a sweep's pending units through its transport's worker
+// slots.
 type coordinator struct {
-	opts     Options
-	group    fleetGroup
-	mf       *manifest
-	ctr      *counters
-	progress func() // nil unless Options.Progress is set
-	work     chan dispatch
-	results  chan outcome
-	hedgeReq chan int
-	stopped  atomic.Bool
-	byID     map[int]Unit
+	opts      Options
+	transport Transport
+	workers   int
+	breaker   *Breaker // nil unless TCP with the breaker enabled
+	mf        *manifest
+	// rep receives the merged stats and counters. Only run's goroutine
+	// writes it; the slots count deadline kills in deadlineKills instead.
+	rep           *SweepReport
+	deadlineKills atomic.Int64
+	work          chan dispatch
+	results       chan outcome
+	hedgeReq      chan int
+	stopped       atomic.Bool
+	byID          map[int]Unit
 }
 
 func logf(w io.Writer, format string, args ...interface{}) {
@@ -379,33 +286,28 @@ func logf(w io.Writer, format string, args ...interface{}) {
 	}
 }
 
-func (c *coordinator) logf(format string, args ...interface{}) {
-	if c.group.name != "" {
-		format = "[" + c.group.name + "] " + format
+// progress reports one more terminal unit to Options.Progress.
+func (c *coordinator) progress() {
+	if p := c.opts.Progress; p != nil {
+		p(c.rep.Restored+c.rep.Executed+c.rep.Failed, c.rep.Units)
 	}
-	logf(c.opts.Log, format, args...)
 }
 
-// run executes units across the group's worker slots and returns their
-// merged stats. Accounting lives entirely in this goroutine: slots report
+// run executes units across the worker slots and merges their stats into
+// c.rep. Accounting lives entirely in this goroutine: slots report
 // one outcome per dispatch, hedge requests arrive over their own channel,
 // and the pending/done/tries maps decide merging, requeueing and
 // termination. A unit is merged (and checkpointed) exactly once — late
 // duplicate results, hedge losers included, are discarded by ID.
-func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
-	workers := c.group.workers
-	if workers < 1 {
-		workers = 1
-	}
+func (c *coordinator) run(units []Unit) error {
 	// Capacity bound: a unit has at most two dispatches alive at any moment
 	// (original/requeue + one hedge), so 2·len(units) queued entries can
 	// never be exceeded and neither requeues nor hedges can block this
 	// goroutine against slots blocked on the results channel.
 	c.work = make(chan dispatch, 2*len(units))
-	c.results = make(chan outcome, workers+1)
-	c.hedgeReq = make(chan int, workers+1)
+	c.results = make(chan outcome, c.workers+1)
+	c.hedgeReq = make(chan int, c.workers+1)
 	c.byID = make(map[int]Unit, len(units))
-	c.logf("sweep: %d units over %d workers via %s", len(units), workers, c.group.transport.Name())
 	pending := make(map[int]int, len(units)) // queued + in-flight dispatches per unit
 	for _, u := range units {
 		c.byID[u.ID] = u
@@ -414,7 +316,7 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < c.workers; i++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
@@ -422,7 +324,7 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 		}(i)
 	}
 
-	var total engine.BatchStats
+	rep := c.rep
 	tries := make(map[int]int)
 	done := make(map[int]bool)
 	hedged := make(map[int]bool)
@@ -437,8 +339,8 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 			case c.work <- dispatch{u: c.byID[id], hedge: true}:
 				hedged[id] = true
 				pending[id]++
-				c.ctr.hedges.Add(1)
-				c.logf("sweep: hedging straggler unit %d", id)
+				rep.Hedges++
+				logf(c.opts.Log, "sweep: hedging straggler unit %d", id)
 			default:
 			}
 		case o := <-c.results:
@@ -448,7 +350,7 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 				// The losing half of a hedge pair, or a duplicate
 				// execution after a lost result: the unit was already
 				// merged exactly once, this result merges zero times.
-				c.ctr.duplicates.Add(1)
+				rep.Duplicates++
 				continue
 			}
 			if o.res.Err == "" {
@@ -456,19 +358,17 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 				if err := c.mf.record(o.res); err != nil && firstErr == nil {
 					firstErr = err
 				}
-				total.Merge(o.res.Stats)
-				c.ctr.executed.Add(1)
+				rep.Stats.Merge(o.res.Stats)
+				rep.Executed++
 				if o.hedge {
-					c.ctr.hedgeWins.Add(1)
+					rep.HedgeWins++
 				}
 				outstanding--
-				if c.progress != nil {
-					c.progress()
-				}
+				c.progress()
 				continue
 			}
 			tries[id]++
-			c.ctr.retries.Add(1)
+			rep.Retries++
 			if tries[id] > c.opts.Retries {
 				if pending[id] > 0 {
 					// A twin dispatch is still in flight and may yet
@@ -479,22 +379,20 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("sweep: unit %d failed after %d attempts: %s", id, tries[id], o.res.Err)
 				}
-				c.logf("sweep: unit %d failed permanently: %s", id, o.res.Err)
+				logf(c.opts.Log, "sweep: unit %d failed permanently: %s", id, o.res.Err)
 				done[id] = true
-				c.ctr.failed.Add(1)
+				rep.Failed++
 				outstanding--
-				if c.progress != nil {
-					c.progress()
-				}
+				c.progress()
 				continue
 			}
 			if pending[id] > 0 {
 				// The twin is still out; requeue only if it fails too.
 				continue
 			}
-			c.logf("sweep: retrying unit %d (attempt %d): %s", id, tries[id]+1, o.res.Err)
+			logf(c.opts.Log, "sweep: retrying unit %d (attempt %d): %s", id, tries[id]+1, o.res.Err)
 			pending[id]++
-			c.ctr.requeues.Add(1)
+			rep.Requeues++
 			c.work <- dispatch{u: c.byID[id]}
 		}
 	}
@@ -508,10 +406,10 @@ func (c *coordinator) run(units []Unit) (engine.BatchStats, error) {
 	}()
 	for o := range c.results {
 		if done[o.res.ID] && o.res.Err == "" {
-			c.ctr.duplicates.Add(1)
+			rep.Duplicates++
 		}
 	}
-	return total, firstErr
+	return firstErr
 }
 
 // slotPinner lets a transport hand each coordinator slot its own view —
@@ -521,21 +419,21 @@ type slotPinner interface {
 	pinned(slot int) Transport
 }
 
-// dialSlot dials the group's transport with this slot's preference pinned,
-// so a fleet's slots spread over its addresses instead of piling onto the
-// first one.
+// dialSlot dials the transport with this slot's preference pinned, so the
+// slots spread over the daemon addresses instead of piling onto the first
+// one.
 func (c *coordinator) dialSlot(start int) (Conn, error) {
-	if p, ok := c.group.transport.(slotPinner); ok {
+	if p, ok := c.transport.(slotPinner); ok {
 		return p.pinned(start).Dial()
 	}
-	return c.group.transport.Dial()
+	return c.transport.Dial()
 }
 
-// noteConn reports a round-trip's endpoint success or failure to the fleet's
+// noteConn reports a round-trip's endpoint success or failure to the
 // breaker, when both the breaker and the connection's endpoint identity
 // exist (TCP conns, chaos-wrapped or not).
 func (c *coordinator) noteConn(conn Conn, ok bool) {
-	br := c.group.breaker
+	br := c.breaker
 	if br == nil {
 		return
 	}
@@ -594,21 +492,21 @@ func (c *coordinator) attempt(conn Conn, d dispatch) (Result, error) {
 			default:
 			}
 		case <-deadlineC:
-			c.ctr.deadlineKills.Add(1)
+			c.deadlineKills.Add(1)
 			return Result{}, fmt.Errorf("%w (%s)", errUnitDeadline, deadline)
 		}
 	}
 }
 
-// slotLoop owns one worker slot: it dials the group's transport, streams
+// slotLoop owns one worker slot: it dials the transport, streams
 // dispatches through the connection, and redials on transport failure (or a
 // deadline kill, which poisons the connection). Every dispatch taken off the
 // work channel produces exactly one outcome — that invariant is what lets
 // run's accounting terminate.
 func (c *coordinator) slotLoop(slot int) {
-	// Pin this slot's preferred daemon so a fleet's slots spread over its
+	// Pin this slot's preferred daemon so the slots spread over the
 	// addresses; start advances after every broken connection so a slot
-	// whose daemon keeps dying migrates to its fleet mates instead of
+	// whose daemon keeps dying migrates to the other addresses instead of
 	// burning the retry budget against one corpse.
 	start := slot
 	for {
@@ -649,21 +547,16 @@ func (c *coordinator) slotLoop(slot int) {
 	}
 }
 
-// wrapLog makes an arbitrary caller writer safe to share between
-// coordinators and transports. Idempotent, so the
-// entry points (Run, RunFleets) can wrap before building transports and
-// runGroups can wrap defensively again.
+// wrapLog makes an arbitrary caller writer safe to share between the
+// coordinator, its slots and the transports they dial through.
 func wrapLog(w io.Writer) io.Writer {
 	if w == nil {
 		return nil
 	}
-	if _, ok := w.(*syncWriter); ok {
-		return w
-	}
 	return &syncWriter{w: w}
 }
 
-// syncWriter serializes writes from the coordinators and transports onto one
+// syncWriter serializes writes from the coordinator and transports onto one
 // underlying writer.
 type syncWriter struct {
 	mu sync.Mutex

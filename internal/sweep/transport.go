@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"time"
 
 	"refereenet/internal/engine"
@@ -21,7 +22,7 @@ import (
 //   - TCP: a long-lived `refereesim serve` daemon reached over the network,
 //     speaking the JSON-lines Unit/Result protocol (docs/sweep-protocol.md)
 //     behind a registry-fingerprint handshake, with reconnect-with-backoff
-//     failover across a daemon address list (the cross-machine fleet).
+//     failover across a daemon address list, on one machine or many.
 //
 // The coordinator treats both identically: a failed round-trip is the death
 // of the in-flight unit's worker, the unit goes back through the
@@ -153,7 +154,7 @@ func (c *lineConn) Close() error {
 type TCP struct {
 	// Addrs lists the daemon endpoints ("host:port"). Must not be empty.
 	Addrs []string
-	// Start indexes the address this slot prefers; slots of one fleet use
+	// Start indexes the address this slot prefers; the slots of a sweep use
 	// distinct Starts so they spread across daemons.
 	Start int
 	// Cycles is how many full passes over Addrs to attempt before giving up
@@ -176,6 +177,28 @@ type TCP struct {
 	Breaker *Breaker
 	// Log, when non-nil, receives failover notices.
 	Log io.Writer
+}
+
+// ParseAddrs parses the `-connect` flag vocabulary: daemon addresses
+// ("host:port") separated by ',' — or ';', accepted as a synonym. Repeat an
+// address to hold two concurrent streams into one daemon. Empty entries,
+// such as a trailing separator, are skipped.
+func ParseAddrs(s string) ([]string, error) {
+	var addrs []string
+	for _, a := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ';' }) {
+		a = strings.TrimSpace(a)
+		if a == "" {
+			continue
+		}
+		if !strings.Contains(a, ":") {
+			return nil, fmt.Errorf("sweep: address %q is not host:port", a)
+		}
+		addrs = append(addrs, a)
+	}
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("sweep: no addresses in %q", s)
+	}
+	return addrs, nil
 }
 
 // Name implements Transport.

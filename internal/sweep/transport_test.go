@@ -40,49 +40,73 @@ func TestSweepTCPMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// RunFleets splits one global plan across fleets; the merged totals must
-// still be byte-identical to the monolithic run, and a shared manifest must
-// make the whole cross-fleet sweep resumable.
-func TestSweepFleetsMatchMonolithicAndResume(t *testing.T) {
+// A TCP sweep over three daemons checkpoints to a manifest; rerunning the
+// same invocation is the killed-coordinator recovery path and must restore
+// every unit without executing anything, at byte-identical totals.
+func TestSweepTCPResume(t *testing.T) {
 	const n, units = 6, 12
 	want := monolithic(t, "hash16", n, false)
-	fleets := []Fleet{
-		{Name: "a", Addrs: []string{startDaemon(t)}},
-		{Name: "b", Addrs: []string{startDaemon(t), startDaemon(t)}},
-	}
+	addrs := []string{startDaemon(t), startDaemon(t), startDaemon(t)}
 	plan := grayPlan(t, "hash16", n, units, false)
 	for i := range plan.Shards {
 		plan.Shards[i].Source.Kind = "counted-gray"
 	}
-	path := filepath.Join(t.TempDir(), "fleet.manifest")
+	path := filepath.Join(t.TempDir(), "tcp.manifest")
 
 	resolveCount.Store(0)
-	got, err := RunFleets(plan, fleets, Options{Manifest: path, Retries: 1})
+	got, err := Run(plan, Options{Dial: addrs, Manifest: path, Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats != want {
-		t.Errorf("fleet sweep stats %+v, want %+v", got.Stats, want)
+		t.Errorf("TCP sweep stats %+v, want %+v", got.Stats, want)
 	}
 	if c := resolveCount.Load(); c != units {
-		t.Errorf("fleet sweep executed %d units, want %d", c, units)
+		t.Errorf("TCP sweep executed %d units, want %d", c, units)
 	}
 
-	// A rerun of the same invocation is the killed-coordinator recovery
-	// path: every unit restores from the shared manifest, nothing re-runs.
 	resolveCount.Store(0)
-	got, err = RunFleets(plan, fleets, Options{Manifest: path, Retries: 1})
+	got, err = Run(plan, Options{Dial: addrs, Manifest: path, Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats != want {
-		t.Errorf("resumed fleet sweep stats %+v, want %+v", got.Stats, want)
+		t.Errorf("resumed TCP sweep stats %+v, want %+v", got.Stats, want)
 	}
 	if c := resolveCount.Load(); c != 0 {
 		t.Errorf("resume executed %d units, want 0", c)
 	}
 	if got.Restored != units || got.Executed != 0 {
 		t.Errorf("resume report %+v, want all %d units restored", got, units)
+	}
+}
+
+// A `-connect "live;dead"` sweep must finish on the live daemon: every slot
+// pulls from the one work queue and fails over across the whole address
+// list, so the dead address's share of the units is not stranded.
+func TestSweepTCPDeadGroupDoesNotStrandUnits(t *testing.T) {
+	const n, units = 6, 8
+	want := monolithic(t, "hash16", n, false)
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	addrs, err := ParseAddrs(startDaemon(t) + ";" + deadAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := grayPlan(t, "hash16", n, units, false)
+	got, err := Run(plan, Options{Dial: addrs, Workers: len(addrs), Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want {
+		t.Errorf("live;dead sweep stats %+v, want %+v", got.Stats, want)
+	}
+	if got.Executed != units || got.Failed != 0 {
+		t.Errorf("live;dead report %+v, want all %d units executed", got, units)
 	}
 }
 
@@ -281,54 +305,24 @@ func TestClientHandshakeRejectsNonSweepEndpoint(t *testing.T) {
 	}
 }
 
-func TestParseFleets(t *testing.T) {
-	fleets, err := ParseFleets("a:1,a:2;b:1")
+func TestParseAddrs(t *testing.T) {
+	addrs, err := ParseAddrs("a:1,a:2;b:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fleets) != 2 || len(fleets[0].Addrs) != 2 || len(fleets[1].Addrs) != 1 {
-		t.Errorf("parsed %+v", fleets)
+	if len(addrs) != 3 || addrs[0] != "a:1" || addrs[1] != "a:2" || addrs[2] != "b:1" {
+		t.Errorf("parsed %q", addrs)
 	}
-	if fleets[0].Addrs[0] != "a:1" || fleets[0].Addrs[1] != "a:2" || fleets[1].Addrs[0] != "b:1" {
-		t.Errorf("parsed addresses %+v", fleets)
-	}
-	if _, err := ParseFleets("no-port"); err == nil {
+	if _, err := ParseAddrs("no-port"); err == nil {
 		t.Error("address without port accepted")
 	}
-	if _, err := ParseFleets(" ; , "); err == nil {
-		t.Error("empty fleet list accepted")
+	if _, err := ParseAddrs(" ; , "); err == nil {
+		t.Error("empty address list accepted")
 	}
 	// Trailing separators are tolerated (shell-quoted lists often end in one).
-	fleets, err = ParseFleets("a:1;")
-	if err != nil || len(fleets) != 1 {
-		t.Errorf("trailing separator: %v %+v", err, fleets)
-	}
-}
-
-// partitionUnits must cover every unit exactly once, in proportion to group
-// weights, whatever the counts.
-func TestPartitionUnitsCoverage(t *testing.T) {
-	units := make([]Unit, 17)
-	for i := range units {
-		units[i].ID = i
-	}
-	for _, weights := range [][]int{{1}, {1, 1}, {3, 1}, {1, 2, 4}, {5, 0, 1}} {
-		groups := make([]fleetGroup, len(weights))
-		for i, w := range weights {
-			groups[i].workers = w
-		}
-		parts := partitionUnits(units, groups)
-		seen := map[int]bool{}
-		for _, part := range parts {
-			for _, u := range part {
-				if seen[u.ID] {
-					t.Fatalf("weights %v: unit %d assigned twice", weights, u.ID)
-				}
-				seen[u.ID] = true
-			}
-		}
-		if len(seen) != len(units) {
-			t.Fatalf("weights %v: %d of %d units assigned", weights, len(seen), len(units))
+	for _, s := range []string{"a:1;", "a:1,"} {
+		if addrs, err := ParseAddrs(s); err != nil || len(addrs) != 1 {
+			t.Errorf("trailing separator %q: %v %q", s, err, addrs)
 		}
 	}
 }
