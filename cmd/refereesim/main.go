@@ -41,10 +41,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"refereenet/internal/congest"
 	"refereenet/internal/core"
@@ -61,11 +65,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("refereesim: ")
 	if len(os.Args) > 1 && os.Args[1] == "sweep" {
-		runSweep(os.Args[2:])
+		exitOn(runSweep(context.Background(), os.Args[2:], os.Stdout, os.Stderr))
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServe(os.Args[2:])
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err := runServe(ctx, os.Args[2:], os.Stdout, os.Stderr)
+		stop()
+		exitOn(err)
 		return
 	}
 	genName := flag.String("gen", "ktree", fmt.Sprintf("graph family: %v", gen.FamilyNames()))
@@ -137,6 +144,14 @@ func main() {
 	default:
 		// Local-only protocol (the strawmen): report the transcript.
 		report(engine.LocalPhase(g, pr, s))
+	}
+}
+
+// exitOn ends a subcommand: -h is a clean exit (the flag set has already
+// printed its usage), any other error is fatal.
+func exitOn(err error) {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
 	}
 }
 

@@ -5,13 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"refereenet/internal/engine"
@@ -31,8 +27,14 @@ import (
 // -parallel workers: both surfaces execute over it, so total execution
 // concurrency stays bounded however work arrives, and it is closed only
 // after both have drained.
-func runServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+//
+// Cancelling ctx triggers a graceful drain: stop accepting, finish and flush
+// every in-flight unit and job, then return nil — so restarting a fleet
+// daemon costs the coordinators a retry, never a half-computed unit. main
+// cancels it on SIGTERM/SIGINT.
+func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	listen := fs.String("listen", ":7171", "TCP address to accept sweep coordinators on (host:port; port 0 picks a free one)")
 	httpAddr := fs.String("http", "", "also serve the HTTP job API on this address (host:port; port 0 picks a free one); empty disables it")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "execution pool size: units from ALL accepted connections and HTTP jobs share k pool workers (splittable units run k-way parallel), so one daemon stands in for k single-threaded ones and never executes more than k shards at once")
@@ -40,35 +42,37 @@ func runServe(args []string) {
 	queueDepth := fs.Int("queue", 16, "with -http: admission queue depth before submissions are rejected 429")
 	cacheSize := fs.Int("cache", 256, "with -http: result cache entries (keyed by plan fingerprint; negative disables)")
 	verbose := fs.Bool("v", false, "log every connection to stderr")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	var hl net.Listener
+	if *httpAddr != "" {
+		if hl, err = net.Listen("tcp", *httpAddr); err != nil {
+			l.Close()
+			return err
+		}
 	}
 	exec := sweep.NewExecutor(*parallel)
 	defer exec.Close()
-	// The resolved address on stdout, flushed before serving, so scripts
-	// that started us with port 0 can scrape where to connect.
-	fmt.Printf("listening %s protocol=v%d registry=%.12s parallel=%d\n",
+	// The resolved addresses go to stdout before serving, so callers that
+	// started us with port 0 can read where to connect.
+	fmt.Fprintf(stdout, "listening %s protocol=v%d registry=%.12s parallel=%d\n",
 		l.Addr(), sweep.ProtocolVersion, engine.RegistryFingerprint(), exec.Workers())
-	os.Stdout.Sync()
 
 	var logw io.Writer
 	if *verbose {
-		logw = os.Stderr
+		logw = stderr
 	}
-
-	serveOpts := sweep.ServeOptions{Log: logw, Executor: exec}
 	var (
 		svc *service.Server
 		hs  *http.Server
 	)
-	if *httpAddr != "" {
-		hl, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if hl != nil {
 		svc = service.New(service.Config{
 			Executor:   exec,
 			MaxJobs:    *jobs,
@@ -78,19 +82,10 @@ func runServe(args []string) {
 		})
 		hs = &http.Server{Handler: svc.Handler()}
 		go hs.Serve(hl)
-		fmt.Printf("http listening %s jobs=/jobs metrics=/metrics\n", hl.Addr())
-		os.Stdout.Sync()
+		fmt.Fprintf(stdout, "http listening %s jobs=/jobs metrics=/metrics\n", hl.Addr())
 	}
 
-	// SIGTERM/SIGINT triggers a graceful drain: stop accepting, finish and
-	// flush every in-flight unit, then exit 0 — so restarting a fleet daemon
-	// costs the coordinators a retry, never a half-computed unit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveOpts.Context = ctx
-	if err := sweep.Serve(l, serveOpts); err != nil {
-		log.Fatal(err)
-	}
+	err = sweep.Serve(l, sweep.ServeOptions{Log: logw, Executor: exec, Context: ctx})
 	if svc != nil {
 		// TCP surface drained; now the HTTP one: stop accepting and let
 		// running jobs finish (Close waits). The deferred exec.Close runs
@@ -100,7 +95,11 @@ func runServe(args []string) {
 		cancel()
 		svc.Close()
 	}
-	if ctx.Err() != nil {
-		fmt.Println("serve: drained cleanly after signal")
+	if err != nil {
+		return err
 	}
+	if ctx.Err() != nil {
+		fmt.Fprintln(stdout, "serve: drained cleanly after signal")
+	}
+	return nil
 }

@@ -1,11 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"runtime"
 	"strconv"
 	"strings"
@@ -22,9 +23,11 @@ import (
 // family or disk-corpus sweep, executes the units — in this process on
 // -workers concurrent slots, or on remote `refereesim serve` daemons via
 // -connect — merges their stats, and checkpoints progress to an optional
-// resumable manifest.
-func runSweep(args []string) {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+// resumable manifest. sweep.Run takes no context, so ctx is checked once,
+// before execution starts; a killed sweep resumes from its manifest.
+func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	protocol := fs.String("protocol", "hash16", "registered protocol to sweep (see refereesim -list)")
 	sched := fs.String("sched", "serial", fmt.Sprintf("per-graph scheduler: %v", engine.SchedulerNames()))
 	n := fs.Int("n", 6, "graph size")
@@ -49,7 +52,9 @@ func runSweep(args []string) {
 	chaosSpec := fs.String("chaos", "", "inject deterministic faults into the transport: key=value pairs, e.g. seed=7,drop=0.05,hang=0.02,hangfor=3s,corrupt=0.01 (keys: seed, drop, lose, hang, delay, corrupt, dialfail, hangfor, delayfor)")
 	dumpPlan := fs.Bool("dump-plan", false, "print the plan JSON and exit without executing")
 	verbose := fs.Bool("v", false, "log coordinator progress to stderr")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	shard := engine.ShardSpec{
 		Protocol: *protocol,
@@ -58,7 +63,10 @@ func runSweep(args []string) {
 		Decide:   *decide,
 	}
 	if _, ok := engine.Lookup(*protocol); !ok {
-		log.Fatalf("unknown protocol %q (try refereesim -list)", *protocol)
+		return fmt.Errorf("unknown protocol %q (try refereesim -list)", *protocol)
+	}
+	if *retries < 0 {
+		return fmt.Errorf("-retries must be ≥ 0 (got %d)", *retries)
 	}
 
 	var addrs []string
@@ -66,18 +74,20 @@ func runSweep(args []string) {
 		var perr error
 		addrs, perr = sweep.ParseAddrs(*connect)
 		if perr != nil {
-			log.Fatal(perr)
+			return perr
 		}
 		// Remote slots size themselves from the address list, not this
 		// machine's CPU count.
 		*workers = len(addrs)
+	} else if *workers < 1 {
+		return fmt.Errorf("-workers must be ≥ 1 (got %d)", *workers)
 	}
 	if *units <= 0 {
 		*units = 4 * *workers
 	}
 
 	if *source == "canon" && (*corpusPath != "" || *family != "") {
-		log.Fatal("-source canon sweeps the class table and cannot combine with -corpus or -gen")
+		return errors.New("-source canon sweeps the class table and cannot combine with -corpus or -gen")
 	}
 
 	var plan engine.Plan
@@ -85,64 +95,61 @@ func runSweep(args []string) {
 	switch {
 	case *corpusPath != "":
 		if *family != "" || *ranks != "" {
-			log.Fatal("-corpus sweeps a disk corpus and cannot combine with -gen or -ranks")
+			return errors.New("-corpus sweeps a disk corpus and cannot combine with -gen or -ranks")
 		}
 		hdr, herr := corpus.ReadHeader(*corpusPath)
 		if herr != nil {
-			log.Fatal(herr)
+			return herr
 		}
 		// The corpus header, not the -n flag, owns the graph size.
 		shard.Config.N = hdr.N
 		plan, err = sweep.SplitCorpus(shard, *corpusPath, hdr.N, hdr.Count, *units)
 	case *family != "":
 		if *ranks != "" {
-			log.Fatal("-ranks slices the labelled-graph enumeration and cannot combine with -gen; use -count to size a generated sweep")
+			return errors.New("-ranks slices the labelled-graph enumeration and cannot combine with -gen; use -count to size a generated sweep")
 		}
 		// Resolve a zero-count spec up front so parameter combinations the
 		// family constructors reject fail here, not per-unit in the workers.
 		probe := engine.SourceSpec{Kind: "family", Family: *family, N: *n, K: *k, P: *p, Seed: *seed}
 		if _, perr := engine.ResolveSource(probe); perr != nil {
-			log.Fatal(perr)
+			return perr
 		}
 		plan, err = sweep.SplitFamily(shard, *family, *n, *k, *p, *seed, *count, *units)
 	case *source == "canon":
 		if *n < 1 || *n > canon.MaxN {
-			log.Fatalf("canon sweeps need 1 ≤ n ≤ %d (got %d)", canon.MaxN, *n)
+			return fmt.Errorf("canon sweeps need 1 ≤ n ≤ %d (got %d)", canon.MaxN, *n)
 		}
 		// Building the class table here (seconds at n = 9, cached) both
 		// validates -ranks against the true class count and means -dump-plan
 		// shows the exact index bounds the workers will execute.
 		total, terr := canon.ClassCount(*n)
 		if terr != nil {
-			log.Fatal(terr)
+			return terr
 		}
 		lo, hi, rerr := parseIndexRange(*ranks, total)
 		if rerr != nil {
-			log.Fatalf("-ranks: %v", rerr)
+			return fmt.Errorf("-ranks: %v", rerr)
 		}
 		plan, err = sweep.SplitClasses(shard, *n, lo, hi, total, *units)
 	case *source != "gray" && *source != "":
-		log.Fatalf("unknown -source %q (want gray or canon)", *source)
+		return fmt.Errorf("unknown -source %q (want gray or canon)", *source)
 	default:
 		if *n < 1 || *n > collide.MaxEnumerationN {
-			log.Fatalf("enumeration sweeps need 1 ≤ n ≤ %d (got %d); use -gen for generated families", collide.MaxEnumerationN, *n)
+			return fmt.Errorf("enumeration sweeps need 1 ≤ n ≤ %d (got %d); use -gen for generated families", collide.MaxEnumerationN, *n)
 		}
 		lo, hi, rerr := collide.ParseRankRange(*ranks, *n)
 		if rerr != nil {
-			log.Fatalf("-ranks: %v", rerr)
+			return fmt.Errorf("-ranks: %v", rerr)
 		}
 		plan, err = sweep.SplitGrayRanks(shard, *n, lo, hi, *units)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *dumpPlan {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(plan); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(plan)
 	}
 
 	opts := sweep.Options{
@@ -159,28 +166,32 @@ func runSweep(args []string) {
 	if *chaosSpec != "" {
 		chaos, cerr := sweep.ParseChaos(*chaosSpec)
 		if cerr != nil {
-			log.Fatal(cerr)
+			return cerr
 		}
 		opts.Chaos = chaos
 	}
 	if *verbose {
-		opts.Log = os.Stderr
+		opts.Log = stderr
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 
 	start := time.Now()
 	rep, err := sweep.Run(plan, opts)
 	elapsed := time.Since(start)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := rep.Stats
-	fmt.Printf("sweep: protocol=%s sched=%s units=%d workers=%d elapsed=%s\n",
+	fmt.Fprintf(stdout, "sweep: protocol=%s sched=%s units=%d workers=%d elapsed=%s\n",
 		*protocol, *sched, len(plan.Shards), *workers, elapsed.Round(time.Millisecond))
-	fmt.Printf("graphs=%d total_bits=%d max_bits=%d max_n=%d accepted=%d rejected=%d errors=%d\n",
+	fmt.Fprintf(stdout, "graphs=%d total_bits=%d max_bits=%d max_n=%d accepted=%d rejected=%d errors=%d\n",
 		st.Graphs, st.TotalBits, st.MaxBits, st.MaxN, st.Accepted, st.Rejected, st.Errors)
-	fmt.Printf("mean bits/graph=%.2f\n", st.MeanBitsPerGraph())
-	fmt.Printf("robustness: restored=%d retries=%d requeues=%d hedges=%d hedge_wins=%d deadline_kills=%d breaker_trips=%d duplicates=%d\n",
+	fmt.Fprintf(stdout, "mean bits/graph=%.2f\n", st.MeanBitsPerGraph())
+	fmt.Fprintf(stdout, "robustness: restored=%d retries=%d requeues=%d hedges=%d hedge_wins=%d deadline_kills=%d breaker_trips=%d duplicates=%d\n",
 		rep.Restored, rep.Retries, rep.Requeues, rep.Hedges, rep.HedgeWins, rep.DeadlineKills, rep.BreakerTrips, rep.Duplicates)
+	return nil
 }
 
 // parseIndexRange parses a lo:hi sub-range of [0, total) — the class-index

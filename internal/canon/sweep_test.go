@@ -47,8 +47,8 @@ func runPlan(t *testing.T, plan engine.Plan) engine.BatchStats {
 // byte-identical (every field) to the exhaustive gray sweep — and both must
 // equal the independently verified OEIS labelled counts. The gray side is
 // the cost: 2^21 graphs at n = 7 (seconds, -short stops at n = 6); the n = 8
-// soak lives in TestCanonSweepN8, and CI's sweep-canon-vector job covers
-// n = 7 through real serve daemons.
+// soak lives in TestCanonSweepN8, and cmd/refereesim's TestRefereesim
+// covers n = 7 through loopback serve daemons.
 func TestCanonSweepByteIdenticalToGray(t *testing.T) {
 	top := 7
 	if testing.Short() {

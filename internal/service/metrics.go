@@ -71,8 +71,8 @@ func (h *histogram) write(w io.Writer, name string) {
 }
 
 // quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// linear interpolation inside the winning bucket — the loadgen-facing
-// summary; the exposition format carries the raw buckets.
+// linear interpolation inside the winning bucket; the exposition format
+// carries the raw buckets.
 func (h *histogram) quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

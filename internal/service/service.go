@@ -29,8 +29,8 @@
 //     SweepReport robustness counters in the Prometheus text format.
 //
 // cmd/refereesim wires this behind `serve -http`, sharing one executor pool
-// between raw TCP sweep units and HTTP jobs; cmd/loadgen is the matching
-// load harness. docs/service.md specifies the API.
+// between raw TCP sweep units and HTTP jobs; the bench's service-mix
+// workload is the matching load harness. docs/service.md specifies the API.
 package service
 
 import (
