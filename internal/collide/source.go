@@ -116,17 +116,19 @@ func (s *GraySource) Next() *graph.Graph {
 
 // NextBlock implements engine.BlockSource: it overwrites blk with the next
 // ≤ 64 ranks of the range and advances the stream, so vector-capable
-// batches consume the same [lo, hi) walk 64 graphs at a time. Ragged tails
-// (hi − next < 64) become partial blocks with a matching LiveMask. Mixing
-// Next and NextBlock on one source is legal — the scalar cursor re-seeds
-// from the rank after the last served block.
+// batches consume the same [lo, hi) walk 64 graphs at a time. A block ends
+// at the next multiple of 64, so a range with an unaligned lo starts with
+// one short head block and every later full block takes FillGray's aligned
+// fast path. Ragged tails (hi − next < 64) become partial blocks with a
+// matching LiveMask. Mixing Next and NextBlock on one source is legal — the
+// scalar cursor re-seeds from the rank after the last served block.
 func (s *GraySource) NextBlock(blk *lanes.Block) bool {
 	if s.next >= s.hi {
 		return false
 	}
-	count := s.hi - s.next
-	if count > lanes.Lanes {
-		count = lanes.Lanes
+	count := lanes.Lanes - s.next%lanes.Lanes
+	if rem := s.hi - s.next; count > rem {
+		count = rem
 	}
 	blk.FillGray(s.n, s.next, int(count))
 	s.next += count

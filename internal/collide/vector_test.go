@@ -8,7 +8,10 @@ import (
 
 // TestGraySourceNextBlock checks the block stream against the scalar walk:
 // the concatenated untransposed blocks are exactly the masks Next yields,
-// ragged tails included, and Mask tracks the last served rank.
+// ragged tails included, and Mask tracks the last served rank. Only the
+// head block may start off a 64-rank boundary: it ends at the first
+// boundary (or at hi), and every later block but the tail is a full
+// aligned one — the shape FillGray's fast path takes.
 func TestGraySourceNextBlock(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -16,9 +19,11 @@ func TestGraySourceNextBlock(t *testing.T) {
 	}{
 		{5, 0, 1 << 10},
 		{6, 100, 612},  // unaligned, ragged tail
-		{6, 7, 7 + 64}, // one unaligned full block
+		{6, 7, 7 + 64}, // 64 unaligned ranks: a head block and a tail
+		{6, 70, 100},   // the whole range inside the head block
 		{4, 0, 1},      // single-graph stream
 		{7, 1<<21 - 100, 1 << 21},
+		{9, 1<<35 + 13, 1<<35 + 13 + 1000},
 	} {
 		scalar := NewGraySourceRange(tc.n, tc.lo, tc.hi)
 		var want []uint64
@@ -28,7 +33,18 @@ func TestGraySourceNextBlock(t *testing.T) {
 		blocks := NewGraySourceRange(tc.n, tc.lo, tc.hi)
 		var blk lanes.Block
 		var got []uint64
-		for blocks.NextBlock(&blk) {
+		for first := true; blocks.NextBlock(&blk); first = false {
+			end := blk.Lo() + uint64(blk.Count())
+			switch {
+			case first && blk.Lo() != tc.lo:
+				t.Fatalf("n=%d [%d,%d): head block starts at %d", tc.n, tc.lo, tc.hi, blk.Lo())
+			case first && end != tc.hi && end%lanes.Lanes != 0:
+				t.Fatalf("n=%d [%d,%d): head block ends at %d, off a 64-rank boundary", tc.n, tc.lo, tc.hi, end)
+			case !first && blk.Lo()%lanes.Lanes != 0:
+				t.Fatalf("n=%d [%d,%d): block after the head starts at %d, unaligned", tc.n, tc.lo, tc.hi, blk.Lo())
+			case !first && end != tc.hi && blk.Count() != lanes.Lanes:
+				t.Fatalf("n=%d [%d,%d): non-tail block at %d holds %d ranks", tc.n, tc.lo, tc.hi, blk.Lo(), blk.Count())
+			}
 			for j := 0; j < blk.Count(); j++ {
 				got = append(got, blk.UntransposeMask(j))
 			}

@@ -61,6 +61,18 @@ func (b *Block) setN(n int) {
 	}
 }
 
+// grayPlanes[e] is the lane of edge e in the Gray codes of ranks 0..63:
+// bit j is bit e of gray(j). The codes of 64 ranks touch only edges 0–5.
+var grayPlanes = func() (p [6]uint64) {
+	for j := uint64(0); j < Lanes; j++ {
+		g := j ^ (j >> 1)
+		for e := range p {
+			p[e] |= (g >> uint(e) & 1) << j
+		}
+	}
+	return p
+}()
+
 // FillGray loads the block with the graphs of Gray-code ranks
 // [lo, lo+count) on n vertices. The first rank's code seeds every lane
 // (broadcast of one edge mask); each subsequent rank differs from its
@@ -69,6 +81,10 @@ func (b *Block) setN(n int) {
 // e in graph j and, because later graphs are built on top of the same walk,
 // in every later slot too. Lanes beyond count (the ragged tail of a range
 // not divisible by 64) are held at zero and masked out of LiveMask.
+//
+// A full block starting on a multiple of 64 skips the walk: there lo+j is
+// lo|j, so gray(lo+j) = gray(lo) ^ gray(j), and every lane is its seed bit
+// broadcast XORed with the fixed word grayPlanes[e] (edges 0–5 only).
 //
 // FillGray panics on out-of-range arguments; streaming sources validate
 // their ranges before serving blocks.
@@ -93,11 +109,13 @@ func (b *Block) FillGray(n int, lo uint64, count int) {
 	}
 	seed := lo ^ (lo >> 1)
 	for e := 0; e < b.edges; e++ {
-		if seed>>uint(e)&1 != 0 {
-			b.lane[e] = b.live
-		} else {
-			b.lane[e] = 0
+		b.lane[e] = -(seed >> uint(e) & 1) & b.live
+	}
+	if count == Lanes && lo%Lanes == 0 {
+		for e := 0; e < len(grayPlanes) && e < b.edges; e++ {
+			b.lane[e] ^= grayPlanes[e]
 		}
+		return
 	}
 	for j := 1; j < count; j++ {
 		e := bits.TrailingZeros64(lo + uint64(j))

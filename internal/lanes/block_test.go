@@ -281,25 +281,6 @@ func TestPerLaneViewConsistency(t *testing.T) {
 	}
 }
 
-// TestCounterOne checks the exactly-one circuit against scalar values, one
-// value per lane.
-func TestCounterOne(t *testing.T) {
-	for base := 0; base < 1<<CounterPlanes; base += Lanes {
-		var c Counter
-		for j := 0; j < Lanes; j++ {
-			v := (base + j) % (1 << CounterPlanes)
-			c.AddMasked(uint64(v), 1<<uint(j))
-		}
-		one := c.One()
-		for j := 0; j < Lanes; j++ {
-			v := (base + j) % (1 << CounterPlanes)
-			if got, want := one>>uint(j)&1 != 0, v == 1; got != want {
-				t.Fatalf("value %d: One circuit says %v", v, got)
-			}
-		}
-	}
-}
-
 // TestCounterAddMasked cross-checks the ripple-carry adder against 64
 // independent scalar accumulators under random masked adds.
 func TestCounterAddMasked(t *testing.T) {
@@ -441,6 +422,77 @@ func TestKernelsWindowsN9(t *testing.T) {
 	for _, lo := range los {
 		for off := 0; off < window; off += Lanes {
 			b.FillGray(9, lo+uint64(off), Lanes)
+			scalarCheck(t, &b)
+		}
+	}
+}
+
+// TestKernelsFillMasksLargeN runs the differential check at n = 10 and 11,
+// which only the gather fill reaches (canon and corpus sources). Besides
+// random masks it packs the dense and boundary graphs that stress the
+// forest kernel's edge-count prefilter: the complete graph (45 and 55
+// edges, far past its 4-plane counter), the complete graph minus each edge,
+// random spanning trees (exactly n−1 edges, forests), a cycle on n−1
+// vertices beside an isolated vertex (n−1 edges, not a forest) and random
+// unicyclic spanning graphs (exactly n edges).
+func TestKernelsFillMasksLargeN(t *testing.T) {
+	rng := rand.New(rand.NewSource(1011))
+	var b Block
+	for n := 10; n <= graph.MaxSmallN; n++ {
+		edges := uint(n * (n - 1) / 2)
+		full := uint64(1)<<edges - 1
+		bit := func(u, v int) uint64 { return 1 << uint(graph.EdgeIndex(n, u, v)) }
+		// tree joins each vertex of a random order to a random earlier one.
+		tree := func() uint64 {
+			order := rng.Perm(n)
+			var m uint64
+			for i := 1; i < n; i++ {
+				m |= bit(order[i]+1, order[rng.Intn(i)]+1)
+			}
+			return m
+		}
+		var masks []uint64
+		masks = append(masks, full)
+		for e := uint(0); e < edges; e++ {
+			masks = append(masks, full&^(1<<e))
+		}
+		for i := 0; i < 64; i++ {
+			masks = append(masks, tree())
+		}
+		for i := 0; i < 64; i++ {
+			order := rng.Perm(n)
+			var m uint64
+			for k := 0; k < n-1; k++ {
+				m |= bit(order[k]+1, order[(k+1)%(n-1)]+1)
+			}
+			masks = append(masks, m)
+		}
+		for i := 0; i < 64; i++ {
+			m := tree()
+			for {
+				extra := uint64(1) << uint(rng.Intn(int(edges)))
+				if m&extra == 0 {
+					masks = append(masks, m|extra)
+					break
+				}
+			}
+		}
+		for i := 0; i < 256; i++ {
+			m := rng.Uint64() & full
+			switch i % 4 {
+			case 1:
+				m &= rng.Uint64() & rng.Uint64() // sparse
+			case 2:
+				m |= rng.Uint64() & full // dense
+			}
+			masks = append(masks, m)
+		}
+		for lo := 0; lo < len(masks); lo += Lanes {
+			hi := lo + Lanes
+			if hi > len(masks) {
+				hi = len(masks)
+			}
+			b.FillMasks(n, masks[lo:hi])
 			scalarCheck(t, &b)
 		}
 	}

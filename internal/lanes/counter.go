@@ -43,17 +43,6 @@ func (c *Counter) Value(j int) int {
 	return v
 }
 
-// One returns the word of lanes whose accumulated value is exactly 1 —
-// plane 0 set, every higher plane clear. It is the leaf test of the forest
-// kernel: a vertex is a leaf in lane j iff its degree counter is One there.
-func (c *Counter) One() uint64 {
-	high := uint64(0)
-	for i := 1; i < CounterPlanes; i++ {
-		high |= c.p[i]
-	}
-	return c.p[0] &^ high
-}
-
 // Mod3 reduces every lane mod 3 simultaneously, returning the residue in
 // two one-hot-free binary planes: lane j's residue is r0[j] + 2·r1[j].
 // Horner over the bit-planes from the top: doubling a residue mod 3 swaps

@@ -3,29 +3,42 @@ package lanes
 import (
 	"math/bits"
 	"testing"
+
+	"refereenet/internal/graph"
 )
 
 func popcount64(v uint64) int { return bits.OnesCount64(v) }
 
-// FuzzLaneBlock fuzzes FillGray over random (n, lo, count) windows:
+// FuzzLaneBlock fuzzes FillGray over random (n, lo, count) windows for every
+// n up to graph.MaxSmallN:
 //   - transpose → untranspose is the identity (slot j yields gray(lo+j)),
-//   - the incremental Gray-step lane update equals a rebuild from scratch,
+//   - the Gray fill (the suffix-XOR walk, or the aligned fast path when
+//     lo % 64 == 0 and count == 64) equals a rebuild from scratch,
 //   - FillMasks over the same Gray-consecutive masks equals FillGray (the
 //     gather transpose is a generalization, not a different layout),
 //   - ragged tail masks leak no bits from dead lanes, in the edge words or
 //     in any kernel output,
+//   - every kernel agrees with the scalar graph.Small reference on every
+//     live lane,
 //   - the kernel constructors' per-lane view is consistent with their
 //     aggregate counters — the all-ones weighted fold IS the unweighted one.
+//
+// rawN in 1..MaxSmallN and rawCount in 1..64 are n and count themselves.
 func FuzzLaneBlock(f *testing.F) {
 	f.Add(uint8(5), uint64(0), uint8(64))
 	f.Add(uint8(9), uint64(1<<32-13), uint8(64))
 	f.Add(uint8(9), uint64(1<<36-17), uint8(17))
 	f.Add(uint8(1), uint64(0), uint8(1))
 	f.Add(uint8(6), uint64(31337), uint8(7))
+	// Aligned full blocks: n = 4's only one, an n = 9 block mid-space and
+	// the one at 2^32.
+	f.Add(uint8(4), uint64(0), uint8(64))
+	f.Add(uint8(9), uint64(64*12345), uint8(64))
+	f.Add(uint8(9), uint64(1<<32), uint8(64))
 	f.Fuzz(func(t *testing.T, rawN uint8, rawLo uint64, rawCount uint8) {
-		n := 1 + int(rawN)%9
+		n := 1 + (int(rawN)+graph.MaxSmallN-1)%graph.MaxSmallN
 		total := uint64(1) << uint(n*(n-1)/2)
-		count := 1 + int(rawCount)%Lanes
+		count := 1 + (int(rawCount)+Lanes-1)%Lanes
 		if uint64(count) > total {
 			count = int(total)
 		}
@@ -53,6 +66,7 @@ func FuzzLaneBlock(f *testing.F) {
 					n, lo, count, j, got, r, want)
 			}
 		}
+		scalarCheck(t, &b)
 		for _, k := range []struct {
 			name string
 			bits uint64

@@ -100,36 +100,71 @@ func (b *Block) Squares() uint64 {
 	return acc
 }
 
-// Forests reports, per lane, whether the graph is acyclic: 64 simultaneous
-// leaf-stripping passes. Each round counts degrees with the ripple-carry
-// counters, marks the lanes where each vertex is a leaf (degree exactly 1),
-// and clears every edge incident to a leaf in those lanes. A forest loses
-// at least its outermost leaf layer per round and empties; a 2-core — any
-// cycle — never produces a leaf and survives, so a lane is a forest iff its
-// working edge lanes all reach zero. An isolated K2 clears in one round
-// (both endpoints are leaves). Dead lanes hold the empty graph, which
-// strips trivially, but the verdict is confined to LiveMask anyway since
-// the empty graph *is* a forest.
+// edgePlanes is the width of Forests' edge counter: its 4 planes count to
+// 15 and a carry out of the top plane is a sticky "at least 16 edges" bit,
+// so the |E| ≥ n test is exact for every n ≤ 15. The constant below fails
+// to compile if graph.MaxSmallN ever outgrows the counter.
+const edgePlanes = 4
+
+const _ = uint(1<<edgePlanes - 1 - graph.MaxSmallN)
+
+// Forests reports, per lane, whether the graph is acyclic. A prefilter
+// first drops every lane with |E| ≥ n, which must hold a cycle: the edges
+// are counted per lane by a half-adder chain over edgePlanes planes with a
+// sticky overflow word, then compared against n. The remaining lanes run
+// 64 simultaneous leaf-stripping passes. Each round tallies every vertex's
+// incident edges in a once/twice accumulator — the idiom Squares uses — so
+// a leaf (degree exactly 1) is once &^ twice, and clears every edge
+// incident to a leaf in those lanes. A forest loses at least its outermost
+// leaf layer per round and empties; a 2-core — any cycle — never produces
+// a leaf and survives, so a lane is a forest iff its working edge lanes
+// all reach zero. An isolated K2 clears in one round (both endpoints are
+// leaves). Dead lanes hold the empty graph, which strips trivially, but
+// the verdict is confined to LiveMask anyway since the empty graph *is* a
+// forest.
 func (b *Block) Forests() uint64 {
 	n := b.n
+	var planes [edgePlanes]uint64
+	over := uint64(0)
+	for e := 0; e < b.edges; e++ {
+		carry := b.lane[e]
+		for i := range planes {
+			planes[i], carry = planes[i]^carry, planes[i]&carry
+		}
+		over |= carry
+	}
+	// cand: lanes with |E| < n, by comparing the planes against n from the
+	// top bit down (gt: already above n; eq: equal to n so far).
+	gt, eq := over, ^over
+	for i := edgePlanes - 1; i >= 0; i-- {
+		if n>>uint(i)&1 != 0 {
+			eq &= planes[i]
+		} else {
+			gt |= eq & planes[i]
+			eq &^= planes[i]
+		}
+	}
+	cand := b.live &^ (gt | eq)
+
 	var work [maxEdges]uint64
 	remaining := uint64(0)
 	for e := 0; e < b.edges; e++ {
-		work[e] = b.lane[e]
+		work[e] = b.lane[e] & cand
 		remaining |= work[e]
 	}
-	var deg Counter
 	var leaf [graph.MaxSmallN + 1]uint64
 	for remaining != 0 {
+		var once, twice [graph.MaxSmallN + 1]uint64
+		for e := 0; e < b.edges; e++ {
+			t := work[e]
+			u, v := b.us[e], b.vs[e]
+			twice[u] |= once[u] & t
+			once[u] |= t
+			twice[v] |= once[v] & t
+			once[v] |= t
+		}
 		for v := 1; v <= n; v++ {
-			deg.Reset()
-			for u := 1; u <= n; u++ {
-				if u == v {
-					continue
-				}
-				deg.AddMasked(1, work[b.idx[v][u]])
-			}
-			leaf[v] = deg.One()
+			leaf[v] = once[v] &^ twice[v]
 		}
 		stripped := uint64(0)
 		remaining = 0
@@ -143,11 +178,10 @@ func (b *Block) Forests() uint64 {
 			break // only 2-cores left: every remaining lane is cyclic
 		}
 	}
-	acc := b.live
 	for e := 0; e < b.edges; e++ {
-		acc &^= work[e]
+		cand &^= work[e]
 	}
-	return acc
+	return cand
 }
 
 // Connected reports, per lane, whether the graph is connected: 64
