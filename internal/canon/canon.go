@@ -33,7 +33,8 @@ import (
 
 // MaxN is the largest vertex count the canonical-form routines accept. The
 // class table at n = 10 already holds 12,005,168 classes (A000088(10)) and
-// costs ~1.4·10⁸ canonizations to build; n = 11's 1.0·10⁹ classes would not
+// costs 23,650,063 canonizations to build (minimum-degree extensions of the
+// 274,668 n = 9 classes, counted); n = 11's 1.0·10⁹ classes would not
 // fit a reasonable table, so the quotient plane stops where graph.Small's
 // word packing still leaves headroom.
 const MaxN = 10
@@ -116,10 +117,7 @@ func MustCanonical(n int, mask uint64) Result {
 type searcher struct {
 	n   int
 	adj [MaxN]uint16 // adj[v] bit w set iff {v,w} edge, vertices 0-based
-
-	// newIndex[u][v] is graph.EdgeIndex(n, u+1, v+1) for u < v, precomputed
-	// once so leaf relabelling is table lookups.
-	newIndex [MaxN][MaxN]uint8
+	tab *edgeTable   // &edgeTables[n]
 
 	best      uint64 // minimum relabelled mask over leaves seen so far
 	bestCount uint64 // leaves achieving best = |Aut| at the end
@@ -135,20 +133,38 @@ type partition struct {
 	cellEnd [MaxN]bool
 }
 
+// edgeTable is the graph.EdgeIndex bit order for one vertex count, in both
+// directions and with 0-based vertices: ends[idx] is the pair of edge idx,
+// index[u][v] = index[v][u] its index. Built once per n at package init, so a
+// canonization neither decodes its mask through graph.EdgePair nor rebuilds a
+// relabelling table.
+type edgeTable struct {
+	ends  [MaxN * (MaxN - 1) / 2][2]uint8
+	index [MaxN][MaxN]uint8
+}
+
+var edgeTables = func() (t [MaxN + 1]edgeTable) {
+	for n := 2; n <= MaxN; n++ {
+		for idx := 0; idx < n*(n-1)/2; idx++ {
+			u, v := graph.EdgePair(n, idx)
+			t[n].ends[idx] = [2]uint8{uint8(u - 1), uint8(v - 1)}
+			t[n].index[u-1][v-1] = uint8(idx)
+			t[n].index[v-1][u-1] = uint8(idx)
+		}
+	}
+	return t
+}()
+
 func (s *searcher) init(n int, mask uint64) {
 	s.n = n
+	s.tab = &edgeTables[n]
 	for v := 0; v < MaxN; v++ {
 		s.adj[v] = 0
 	}
 	for m := mask; m != 0; m &= m - 1 {
-		u, v := graph.EdgePair(n, bits.TrailingZeros64(m))
-		s.adj[u-1] |= 1 << uint(v-1)
-		s.adj[v-1] |= 1 << uint(u-1)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			s.newIndex[u][v] = uint8(graph.EdgeIndex(n, u+1, v+1))
-		}
+		e := s.tab.ends[bits.TrailingZeros64(m)]
+		s.adj[e[0]] |= 1 << e[1]
+		s.adj[e[1]] |= 1 << e[0]
 	}
 	s.best = 0
 	s.bestCount = 0
@@ -286,11 +302,7 @@ func (s *searcher) leaf(p *partition) {
 	for u := 0; u < s.n; u++ {
 		for row := s.adj[u] >> uint(u+1) << uint(u+1); row != 0; row &= row - 1 {
 			v := bits.TrailingZeros16(row)
-			a, b := pos[u], pos[v]
-			if a > b {
-				a, b = b, a
-			}
-			mask |= 1 << uint(s.newIndex[a][b])
+			mask |= 1 << s.tab.index[pos[u]][pos[v]]
 		}
 	}
 	switch {

@@ -3,7 +3,6 @@ package canon
 import (
 	"math/bits"
 	"math/rand"
-	"os"
 	"testing"
 
 	"refereenet/internal/graph"
@@ -12,12 +11,18 @@ import (
 // a000088 is OEIS A000088: the number of graphs on n unlabelled vertices.
 var a000088 = []uint64{1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668}
 
-func TestClassCensusMatchesA000088(t *testing.T) {
-	top := 8
-	if os.Getenv("REFEREENET_N9_FULL") != "" {
-		top = 9 // ~5 s of table building; env-gated like the other n=9 soaks
+// censusTop is the largest n the class-table tests build: 9, or 8 under
+// -short, which keeps the race job off the n = 9 table (~1 s on two cores,
+// several times that under -race).
+func censusTop() int {
+	if testing.Short() {
+		return 8
 	}
-	for n := 0; n <= top; n++ {
+	return 9
+}
+
+func TestClassCensusMatchesA000088(t *testing.T) {
+	for n := 0; n <= censusTop(); n++ {
 		got, err := ClassCount(n)
 		if err != nil {
 			t.Fatal(err)
@@ -31,7 +36,7 @@ func TestClassCensusMatchesA000088(t *testing.T) {
 // TestOrbitWeightSum pins the orbit–stabilizer identity the weighted sweep
 // path stands on: Σ over classes of n!/|Aut| must equal 2^C(n,2) exactly.
 func TestOrbitWeightSum(t *testing.T) {
-	for n := 1; n <= 8; n++ {
+	for n := 1; n <= censusTop(); n++ {
 		classes, err := Classes(n)
 		if err != nil {
 			t.Fatal(err)

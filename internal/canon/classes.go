@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-
-	"refereenet/internal/graph"
 )
 
 // Class is one isomorphism class of n-vertex graphs: its canonical
@@ -20,7 +18,7 @@ type Class struct {
 }
 
 // The class tables are deterministic pure functions of n, but expensive to
-// build (the n = 9 table canonizes ~3.2·10⁶ candidate graphs), and a serve
+// build (the n = 9 table canonizes 605,107 candidate graphs), and a serve
 // daemon resolves one "canon" spec per unit — so each table is built once
 // per process, cached, and shared read-only: every ClassSource slices the
 // cached []Class in place, so opening a source costs O(1) whatever the
@@ -74,38 +72,43 @@ func classTable(n int) ([]Class, error) {
 	}
 	for m := 2; m <= n; m++ {
 		if _, ok := classCache.levels[m]; !ok {
-			classCache.levels[m] = extendLevel(m, classCache.levels[m-1])
+			classCache.levels[m], _ = extendLevel(m, classCache.levels[m-1])
 		}
 	}
 	return classCache.levels[n], nil
 }
 
-// extendLevel builds the level-m table from level m-1: every m-vertex graph
-// contains an (m-1)-vertex induced subgraph (drop any vertex), so extending
-// each (m-1)-class representative by a new vertex m with every neighborhood
-// ⊆ {1..m-1} and canonizing covers every m-class. That is
-// |classes(m-1)|·2^(m-1) canonizations — 3.16·10⁶ at m = 9 versus the 2^36
-// labelled graphs a naive census would canonize. Each class's weight
-// m!/|Aut| is computed here, once per process.
-func extendLevel(m int, prev []Class) []Class {
-	// Re-indexing tables: edge idx in the (m-1)-vertex EdgeIndex space →
-	// idx in the m-vertex space, and neighborhood bit j → edge {j+1, m}.
-	oldEdges := (m - 1) * (m - 2) / 2
-	reIdx := make([]uint, oldEdges)
-	for idx := 0; idx < oldEdges; idx++ {
-		u, v := graph.EdgePair(m-1, idx)
-		reIdx[idx] = uint(graph.EdgeIndex(m, u, v))
+// extendLevel builds the level-m table from level m-1. Every m-vertex graph
+// has a vertex of minimum degree, and deleting it leaves an (m-1)-vertex
+// graph, so extending each (m-1)-class representative by a new vertex m whose
+// neighborhood S ⊆ {1..m-1} keeps m at minimum degree, and canonizing, covers
+// every m-class. With deg′ the degrees in the representative, m has minimum
+// degree iff |S| ≤ deg′(u) + [u ∈ S] for every old vertex u; only vertices of
+// minimum deg′ can bind, so the bound is min deg′, plus one when S holds all
+// of them. That is 605,107 canonizations at m = 9 (29,755 at m = 8), against
+// |classes(m-1)|·2^(m-1) = 3,160,576 for every neighborhood and the 2^36
+// labelled graphs a naive census would canonize. The filter drops candidates,
+// never classes, and any member of a class yields the same canonical form and
+// |Aut|, so the table is the same as without it. Each class's weight m!/|Aut|
+// is computed here, once per process. It returns the table and the number of
+// candidates canonized.
+func extendLevel(m int, prev []Class) ([]Class, int) {
+	// Re-indexing tables: edge idx in the (m-1)-vertex EdgeIndex space → idx
+	// in the m-vertex space, and neighborhood bit j → edge {j+1, m}.
+	oldTab, tab := &edgeTables[m-1], &edgeTables[m]
+	reIdx := make([]uint8, (m-1)*(m-2)/2)
+	for idx := range reIdx {
+		e := oldTab.ends[idx]
+		reIdx[idx] = tab.index[e[0]][e[1]]
 	}
-	newEdge := make([]uint, m-1)
-	for j := 0; j < m-1; j++ {
-		newEdge[j] = uint(graph.EdgeIndex(m, j+1, m))
-	}
+	newEdge := tab.index[m-1][:m-1]
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(prev) {
 		workers = len(prev)
 	}
 	parts := make([]map[uint64]uint64, workers)
+	counts := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -113,21 +116,43 @@ func extendLevel(m int, prev []Class) []Class {
 		go func() {
 			defer wg.Done()
 			seen := make(map[uint64]uint64)
+			canonized := 0
 			for i := w; i < len(prev); i += workers {
 				base := uint64(0)
+				var deg [MaxN]int
 				for rm := prev[i].Mask; rm != 0; rm &= rm - 1 {
-					base |= 1 << reIdx[bits.TrailingZeros64(rm)]
+					idx := bits.TrailingZeros64(rm)
+					base |= 1 << reIdx[idx]
+					deg[oldTab.ends[idx][0]]++
+					deg[oldTab.ends[idx][1]]++
+				}
+				minDeg, minSet := m, uint64(0)
+				for u, d := range deg[:m-1] {
+					switch {
+					case d < minDeg:
+						minDeg, minSet = d, 1<<uint(u)
+					case d == minDeg:
+						minSet |= 1 << uint(u)
+					}
 				}
 				for sub := uint64(0); sub < 1<<uint(m-1); sub++ {
+					bound := minDeg
+					if sub&minSet == minSet {
+						bound++
+					}
+					if bits.OnesCount64(sub) > bound {
+						continue
+					}
 					mask := base
 					for sb := sub; sb != 0; sb &= sb - 1 {
 						mask |= 1 << newEdge[bits.TrailingZeros64(sb)]
 					}
 					r := MustCanonical(m, mask)
 					seen[r.Canon] = r.AutOrder
+					canonized++
 				}
 			}
-			parts[w] = seen
+			parts[w], counts[w] = seen, canonized
 		}()
 	}
 	wg.Wait()
@@ -150,5 +175,9 @@ func extendLevel(m int, prev []Class) []Class {
 	for i := range table {
 		table[i].Weight = mf / merged[table[i].Mask]
 	}
-	return table
+	candidates := 0
+	for _, c := range counts {
+		candidates += c
+	}
+	return table, candidates
 }

@@ -1,6 +1,10 @@
 package canon
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -123,5 +127,56 @@ func TestClassesCopyIsCallerOwned(t *testing.T) {
 		if got[i].count != int(w.hi-w.lo) || got[i].weights != ws {
 			t.Errorf("[%d,%d): drained %d classes, Σ weight %d; want %d and %d", w.lo, w.hi, got[i].count, got[i].weights, w.hi-w.lo, ws)
 		}
+	}
+}
+
+// classDigests pins the class tables byte for byte: the SHA-256 over every
+// class's Mask then Weight, each as 8 little-endian bytes, in table order.
+// The ascending-mask order is the class-index order of every canon plan and
+// manifest, so any change to the generator that moves a class, drops one or
+// alters a weight fails here.
+var classDigests = map[int]string{
+	7: "1597719f61c72cc49bb8310ef64c1c0f373ed67ffaa31264b938875635e1c725",
+	8: "c4acbab9d40a33c52723f5f43e4bd0edfdad55281593b77a8b9e2d6bddae5703",
+	9: "360140ce94c9426959cc5e0025dbf11322c06f4b043dfa2932853ce59a54ad45",
+}
+
+func TestClassTableDigest(t *testing.T) {
+	for n := 7; n <= censusTop(); n++ {
+		table, err := Classes(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var rec [16]byte
+		for _, c := range table {
+			binary.LittleEndian.PutUint64(rec[:8], c.Mask)
+			binary.LittleEndian.PutUint64(rec[8:], c.Weight)
+			h.Write(rec[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != classDigests[n] {
+			t.Errorf("n=%d: class table digest %s, want %s", n, got, classDigests[n])
+		}
+	}
+}
+
+// BenchmarkExtendLevel times building level m from the cached level m-1
+// table — the whole cost of a cold Classes(m) once m-1 is resident — and
+// reports the candidate graphs canonized per build.
+func BenchmarkExtendLevel(b *testing.B) {
+	for _, m := range []int{8, 9} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			prev, err := classTable(m - 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var candidates int
+			for i := 0; i < b.N; i++ {
+				_, candidates = extendLevel(m, prev)
+			}
+			b.ReportMetric(float64(candidates), "candidates/op")
+		})
 	}
 }

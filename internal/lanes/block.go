@@ -97,7 +97,7 @@ func (b *Block) FillGray(n int, lo uint64, count int) {
 	}
 	b.setN(n)
 	if b.edges < 64 {
-		if total := uint64(1) << uint(b.edges); lo > total-uint64(count) {
+		if total := uint64(1) << uint(b.edges); uint64(count) > total || lo > total-uint64(count) {
 			panic(fmt.Sprintf("lanes: ranks [%d,%d) exceed 2^%d", lo, lo+uint64(count), b.edges))
 		}
 	}

@@ -211,23 +211,39 @@ func TestFillMasksEqualsFillGray(t *testing.T) {
 	}
 }
 
+// expectPanic fails the test unless f panics.
+func expectPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	f()
+}
+
+// TestFillGrayPanics pins the argument validation, including blocks wider
+// than the whole rank space of a small n: count > 2^C(n,2) must not wrap the
+// range check round to a pass.
+func TestFillGrayPanics(t *testing.T) {
+	var b Block
+	expectPanic(t, "n=0", func() { b.FillGray(0, 0, 1) })
+	expectPanic(t, "count=0", func() { b.FillGray(5, 0, 0) })
+	expectPanic(t, "count > 64", func() { b.FillGray(5, 0, Lanes+1) })
+	expectPanic(t, "n=3, 64 of 8 ranks", func() { b.FillGray(3, 0, 64) })
+	expectPanic(t, "n=2, 3 of 2 ranks", func() { b.FillGray(2, 0, 3) })
+	expectPanic(t, "n=4, tail past 2^6", func() { b.FillGray(4, 60, 5) })
+}
+
 // TestFillMasksPanics pins the argument validation: out-of-range n or
 // count, and masks with bits at or beyond C(n,2).
 func TestFillMasksPanics(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
 	var b Block
-	expectPanic("n=0", func() { b.FillMasks(0, []uint64{0}) })
-	expectPanic("n too big", func() { b.FillMasks(graph.MaxSmallN+1, []uint64{0}) })
-	expectPanic("empty masks", func() { b.FillMasks(5, nil) })
-	expectPanic("too many masks", func() { b.FillMasks(5, make([]uint64, Lanes+1)) })
-	expectPanic("mask too wide", func() { b.FillMasks(5, []uint64{1 << 10}) }) // C(5,2)=10
+	expectPanic(t, "n=0", func() { b.FillMasks(0, []uint64{0}) })
+	expectPanic(t, "n too big", func() { b.FillMasks(graph.MaxSmallN+1, []uint64{0}) })
+	expectPanic(t, "empty masks", func() { b.FillMasks(5, nil) })
+	expectPanic(t, "too many masks", func() { b.FillMasks(5, make([]uint64, Lanes+1)) })
+	expectPanic(t, "mask too wide", func() { b.FillMasks(5, []uint64{1 << 10}) }) // C(5,2)=10
 }
 
 // TestPerLaneViewConsistency pins the kernel constructors' per-lane view
