@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -24,7 +25,6 @@ import (
 	"refereenet/internal/engine"
 	"refereenet/internal/experiments"
 	"refereenet/internal/gen"
-	"refereenet/internal/graph"
 
 	// Registered for their engine registry entries.
 	_ "refereenet/internal/collide"
@@ -49,7 +49,9 @@ func main() {
 	flag.Parse()
 
 	if *protocol != "" {
-		runScenario(*protocol, *sched, *family, *n, *k, *count, *p, *seed)
+		if err := runScenario(os.Stdout, *protocol, *sched, *family, *n, *k, *count, *p, *seed); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -83,14 +85,17 @@ func main() {
 }
 
 // runScenario streams `count` graphs of the family through the named
-// protocol via engine.RunBatch and prints the aggregated accounting. Graph
-// generation happens on the feeding goroutine; graphs fan out over the batch
-// worker pool, and each graph's local phase runs under the -sched scheduler
-// (serial keeps the whole run on one goroutine — the allocation-free path).
-func runScenario(protocol, schedName, family string, n, k, count int, p float64, seed int64) {
+// protocol via engine.RunBatch and prints the aggregated accounting to w.
+// The stream is gen.NewFamilySource — the same (seed, family, n, k, p,
+// count) stream a "family" sweep spec names — so malformed parameters are
+// errors here, before any worker starts. Graph generation happens on the
+// feeding goroutine; graphs fan out over the batch worker pool, and each
+// graph's local phase runs under the -sched scheduler (serial keeps the
+// whole run on one goroutine — the allocation-free path).
+func runScenario(w io.Writer, protocol, schedName, family string, n, k, count int, p float64, seed int64) error {
 	pr, ok := engine.New(protocol, engine.Config{N: n, K: k, Seed: seed})
 	if !ok {
-		log.Fatalf("unknown protocol %q (known: %v)", protocol, engine.Names())
+		return fmt.Errorf("unknown protocol %q (known: %v)", protocol, engine.Names())
 	}
 	workers := 0 // one per CPU
 	var sched engine.Scheduler
@@ -99,33 +104,25 @@ func runScenario(protocol, schedName, family string, n, k, count int, p float64,
 	} else if s, ok := engine.SchedulerByName(schedName); ok {
 		sched = s
 	} else {
-		log.Fatalf("unknown scheduler %q (known: %v)", schedName, engine.SchedulerNames())
+		return fmt.Errorf("unknown scheduler %q (known: %v)", schedName, engine.SchedulerNames())
 	}
-	rng := gen.NewRand(seed)
-	made := 0
-	src := engine.SourceFunc(func() *graph.Graph {
-		if made >= count {
-			return nil
-		}
-		made++
-		g, err := gen.ByName(rng, family, n, k, p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return g
-	})
+	src, err := gen.NewFamilySource(seed, family, n, k, p, count)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	stats := engine.RunBatch(pr, src, engine.BatchOptions{Workers: workers, Sched: sched, Decide: true, MaxN: n})
 	elapsed := time.Since(start)
 
-	fmt.Printf("scenario: protocol=%s sched=%s family=%s n=%d k=%d count=%d seed=%d\n",
+	fmt.Fprintf(w, "scenario: protocol=%s sched=%s family=%s n=%d k=%d count=%d seed=%d\n",
 		protocol, schedName, family, n, k, count, seed)
-	fmt.Printf("graphs: %d in %s (%.0f graphs/s)\n",
+	fmt.Fprintf(w, "graphs: %d in %s (%.0f graphs/s)\n",
 		stats.Graphs, elapsed.Round(time.Millisecond), float64(stats.Graphs)/elapsed.Seconds())
-	fmt.Printf("bits: max message %d, mean transcript %.1f, total %d\n",
+	fmt.Fprintf(w, "bits: max message %d, mean transcript %.1f, total %d\n",
 		stats.MaxBits, stats.MeanBitsPerGraph(), stats.TotalBits)
 	if stats.Accepted+stats.Rejected+stats.Errors > 0 {
-		fmt.Printf("referee: accepted %d, rejected %d, errors %d\n",
+		fmt.Fprintf(w, "referee: accepted %d, rejected %d, errors %d\n",
 			stats.Accepted, stats.Rejected, stats.Errors)
 	}
+	return nil
 }

@@ -121,9 +121,6 @@ func (s *ClassSource) Weight() uint64 { return s.weight }
 // Mask returns the canonical edge mask of the graph most recently yielded.
 func (s *ClassSource) Mask() uint64 { return s.mask }
 
-// Volatile implements engine.Volatile: Next reuses one graph.
-func (s *ClassSource) Volatile() bool { return true }
-
 func init() {
 	// The class table as a plannable source: spec {kind: "canon", n, lo, hi}
 	// streams class indices [lo, hi) of the n-vertex table in ascending

@@ -42,10 +42,10 @@ func ParseRankRange(s string, n int) (lo, hi uint64, err error) {
 // ONE reused *graph.Graph, toggling a single edge per step — the
 // zero-allocation enumeration engine exposed as a pull-style stream for
 // engine.RunBatch. The yielded pointer is only valid until the next Next
-// call, which GraySource reports by implementing engine.Volatile; batch runs
-// therefore keep it on a single goroutine. To parallelize, split the rank
-// space into per-worker ranges (NewGraySourceRange) and use
-// Batch.RunShards — disjoint rank ranges cover disjoint mask sets.
+// call — the engine.BlockSource contract — so batch runs keep it on a
+// single goroutine. To parallelize, split the rank space into per-worker
+// ranges (NewGraySourceRange) and use Batch.RunShards — disjoint rank
+// ranges cover disjoint mask sets.
 type GraySource struct {
 	n       int
 	lo      uint64 // first rank of the range (for Reset)
@@ -140,6 +140,3 @@ func (s *GraySource) NextBlock(blk *lanes.Block) bool {
 
 // Mask returns the edge mask of the graph most recently yielded by Next.
 func (s *GraySource) Mask() uint64 { return s.mask }
-
-// Volatile implements engine.Volatile: Next reuses one graph.
-func (s *GraySource) Volatile() bool { return true }

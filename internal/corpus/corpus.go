@@ -140,8 +140,9 @@ func readHeader(r io.Reader) (Header, error) {
 // FileSource streams the records [lo, hi) of a corpus file through ONE
 // reused *graph.Graph, toggling only the edges whose mask bits differ
 // between consecutive records — the corpus counterpart of collide.GraySource
-// (and, like it, engine.Volatile: the yielded pointer is only valid until
-// the next Next call). The underlying file closes at stream exhaustion.
+// (and, like it, an engine.BlockSource whose yielded pointer is only valid
+// until the next Next call). The underlying file closes at stream
+// exhaustion.
 //
 // A file that goes bad underneath the sweep — truncated mid-record, or a
 // record carrying edge bits beyond C(n,2) — ends the stream early and parks
@@ -278,9 +279,6 @@ func (s *FileSource) Err() error { return s.err }
 
 // Mask returns the edge mask of the graph most recently yielded by Next.
 func (s *FileSource) Mask() uint64 { return s.mask }
-
-// Volatile implements engine.Volatile: Next reuses one graph.
-func (s *FileSource) Volatile() bool { return true }
 
 // Close releases the underlying file. Next calls it automatically at
 // exhaustion; callers abandoning a stream early should call it themselves.

@@ -18,16 +18,6 @@ type Source interface {
 	Next() *graph.Graph
 }
 
-// Volatile marks sources whose Next reuses a single underlying graph (the
-// Gray-code enumerator toggles one edge per step into one *graph.Graph).
-// Batch runs execute such sources on one goroutine: the reuse that makes
-// them allocation-free also makes the yielded pointer unshareable. Split a
-// volatile stream into per-worker range sources and use RunShards to
-// parallelize it.
-type Volatile interface {
-	Volatile() bool
-}
-
 // Weighted marks sources whose graphs stand for more than one graph each —
 // the isomorphism-quotient plane streams one representative per class and
 // Weight reports the labelled-orbit size of the graph most recently returned
@@ -35,7 +25,7 @@ type Volatile interface {
 // TotalBits, Accepted, Rejected, Errors) by the weight, so merged stats
 // reconstitute exact labelled totals; MaxBits and MaxN are per-graph maxima
 // and stay unweighted. Because Weight is read after Next — a stateful pair —
-// weighted sources run on one goroutine, like Volatile ones; split a
+// Batch.Run keeps a weighted source on the calling goroutine; split a
 // weighted stream into per-shard sources to parallelize it.
 type Weighted interface {
 	Weight() uint64
@@ -49,6 +39,12 @@ type Weighted interface {
 // whose LiveMask covers fewer than 64 lanes. Batch consumes blocks only
 // when the protocol opted into VectorLocal; otherwise the source's scalar
 // Next carries the run, so implementing BlockSource is always safe.
+//
+// A BlockSource's Next reuses one graph (the Gray enumerator toggles one
+// edge per step into one *graph.Graph): the yielded pointer is valid only
+// until the next call. Batch.Run therefore keeps any BlockSource on the
+// calling goroutine; split its stream into per-worker range sources and
+// use RunShards to parallelize it.
 type BlockSource interface {
 	Source
 	NextBlock(blk *lanes.Block) bool
@@ -61,9 +57,8 @@ type BlockSource interface {
 // weight of each slot of the block most recently served by NextBlock
 // (dead-lane slots are zero); like the scalar Next/Weight pair, the
 // NextBlock/Weights pair is stateful and runs on one goroutine. The batch
-// engine takes this path only when the protocol's kernel exposes the
-// per-lane view (lanes.BlockStats.PerLane) needed to scale each lane by
-// its own weight.
+// fold scales each live lane of the kernel's per-lane result by its own
+// weight.
 type WeightedBlockSource interface {
 	BlockSource
 	Weighted
@@ -105,15 +100,6 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Len returns the corpus size.
 func (s *SliceSource) Len() int { return len(s.graphs) }
-
-// funcSource adapts a generator closure to Source.
-type funcSource func() *graph.Graph
-
-func (f funcSource) Next() *graph.Graph { return f() }
-
-// SourceFunc wraps a generator: f is called once per graph and returns nil
-// to end the stream. Use it to feed gen families into a batch run.
-func SourceFunc(f func() *graph.Graph) Source { return funcSource(f) }
 
 // BatchStats aggregates one batch run. It is the merge stage's unit of
 // state: every field is either a sum or a max, so Merge is commutative and
@@ -215,7 +201,7 @@ type Batch struct {
 	done   chan *batchShard
 	shards []batchShard
 	locked lockedSource
-	inline batchShard // the Workers==1 / volatile-source slot
+	inline batchShard // the Workers==1 / block- or weighted-source slot
 	sc     *batchScratch
 	closed bool
 }
@@ -232,7 +218,7 @@ type batchScratch struct {
 	w     bits.Writer
 	t     Transcript
 	blk   lanes.Block      // per-worker: block sources may run on pool goroutines
-	bs    lanes.BlockStats // per-block tally, reused so the hot loop stays 0 alloc
+	bs    lanes.BlockStats // per-block kernel result, reused so the hot loop stays 0 alloc
 	wts   [lanes.Lanes]uint64
 }
 
@@ -334,11 +320,13 @@ func (b *Batch) worker(sc *batchScratch) {
 }
 
 // Run streams src through the protocol and returns aggregated stats. With
-// one worker — or a Volatile source, whose reused graph cannot be shared, or
-// a Weighted one, whose Next/Weight pair cannot straddle goroutines — the
+// one worker — or a BlockSource, whose reused graph cannot be shared, or a
+// Weighted source, whose Next/Weight pair cannot straddle goroutines — the
 // whole run happens on the calling goroutine.
 func (b *Batch) Run(src Source) BatchStats {
-	if b.workers == 1 || isVolatile(src) || isWeighted(src) {
+	_, block := src.(BlockSource)
+	_, weighted := src.(Weighted)
+	if b.workers == 1 || block || weighted {
 		b.inline.src = src
 		b.runShard(&b.inline, b.sc)
 		b.inline.src = nil
@@ -409,101 +397,54 @@ func (b *Batch) dispatch(shards []batchShard) BatchStats {
 	return out
 }
 
-// runShard picks the shard's loop once — vector, buffered-arena, scheduled
-// or plain — instead of re-branching on the invariants inside the per-graph
-// hot loop. A Weighted source vectorizes only through the explicit
-// WeightedBlockSource capability (orbit weights are per-slot, so the fold
-// needs the kernel's per-lane view); a merely-Weighted BlockSource stays on
-// the scalar loop, where Next/Weight pair up.
+// runShard picks the shard's loop once — blocks or graphs — instead of
+// re-branching on the invariants inside the hot loop. A Weighted source
+// vectorizes only through the explicit WeightedBlockSource capability
+// (orbit weights are per-slot); a merely-Weighted BlockSource stays on the
+// per-graph loop, where Next/Weight pair up.
 func (b *Batch) runShard(sh *batchShard, sc *batchScratch) {
 	sh.stats = BatchStats{}
-	src := sh.src
-	if b.vkern != nil && isWeighted(src) {
-		if ws, ok := src.(WeightedBlockSource); ok {
-			b.runWeightedBlocks(ws, &sh.stats, sc)
+	w, _ := sh.src.(Weighted)
+	if bs, ok := sh.src.(BlockSource); ok && b.vkern != nil {
+		ws, _ := bs.(WeightedBlockSource)
+		if w == nil || ws != nil {
+			b.runBlocks(bs, ws, &sh.stats, sc)
 			return
 		}
 	}
-	if b.vkern != nil && !isWeighted(src) {
-		if bs, ok := src.(BlockSource); ok {
-			b.runBlocks(bs, &sh.stats, sc)
-			return
+	b.runGraphs(sh.src, w, &sh.stats, sc)
+}
+
+// runBlocks is the lane-parallel loop: the source serves transposed
+// 64-graph blocks, the protocol's kernel evaluates each one with
+// word-parallel ops, and only the per-block fold is scalar. On a weighted
+// source each block holds up to 64 class representatives and the fold
+// scales each lane by its own orbit weight, so one kernel call settles up
+// to 64 whole isomorphism orbits.
+func (b *Batch) runBlocks(src BlockSource, ws WeightedBlockSource, st *BatchStats, sc *batchScratch) {
+	var w *[lanes.Lanes]uint64
+	if ws != nil {
+		w = &sc.wts
+	}
+	for src.NextBlock(&sc.blk) {
+		b.vkern(&sc.blk, &sc.bs)
+		if ws != nil {
+			ws.Weights(w)
 		}
-	}
-	w, _ := src.(Weighted)
-	switch {
-	case b.buffered != nil:
-		b.runShardBuffered(src, w, &sh.stats, sc)
-	case b.opts.Sched != nil:
-		b.runShardSched(src, w, &sh.stats, sc)
-	default:
-		b.runShardPlain(src, w, &sh.stats, sc)
+		st.foldBlock(&sc.bs, w)
 	}
 }
 
-// runBlocks is the lane-parallel fast path: the source serves transposed
-// 64-graph blocks and the protocol's kernel folds each one into block stats
-// with word-parallel ops — only the per-block fold into BatchStats is
-// scalar. Ragged tail blocks carry a partial LiveMask and account exactly.
-func (b *Batch) runBlocks(src BlockSource, st *BatchStats, sc *batchScratch) {
-	for src.NextBlock(&sc.blk) {
-		sc.bs = lanes.BlockStats{}
-		b.vkern(&sc.blk, &sc.bs)
-		st.foldBlock(sc.bs)
-	}
-}
-
-// foldBlock merges one block's tallies, mirroring Merge: counters add,
-// maxima take the larger value.
-func (s *BatchStats) foldBlock(o lanes.BlockStats) {
-	s.Graphs += o.Graphs
-	s.TotalBits += o.TotalBits
-	if o.MaxBits > s.MaxBits {
-		s.MaxBits = o.MaxBits
-	}
-	if o.MaxN > s.MaxN {
-		s.MaxN = o.MaxN
-	}
-	s.Accepted += o.Accepted
-	s.Rejected += o.Rejected
-	s.Errors += o.Errors
-}
-
-// runWeightedBlocks is the lane-parallel loop for orbit-weighted class
-// streams: each block holds 64 class representatives, the kernel's
-// per-lane view says which lanes are live (and, when deciding, which
-// accept), and the fold scales each lane by its own weight — so a canon
-// block reconstitutes the labelled totals of up to 64 whole isomorphism
-// orbits per kernel call.
-func (b *Batch) runWeightedBlocks(src WeightedBlockSource, st *BatchStats, sc *batchScratch) {
-	for src.NextBlock(&sc.blk) {
-		sc.bs = lanes.BlockStats{}
-		b.vkern(&sc.blk, &sc.bs)
-		src.Weights(&sc.wts)
-		st.foldBlockWeighted(&sc.bs, &sc.wts)
-	}
-}
-
-// foldBlockWeighted merges one block's tallies under per-lane weights,
-// mirroring the scalar account contract exactly: Graphs/TotalBits (and,
-// when the kernel decided, Accepted/Rejected) accumulate Σ weight[j]·bit j
-// over the live lanes instead of popcounts; MaxBits/MaxN are per-graph
-// maxima and stay unweighted. Kernels fold per-graph quantities that are
-// uniform across the block (TotalBits == Graphs·GraphBits), so the
-// weighted total is wsum·GraphBits.
-func (s *BatchStats) foldBlockWeighted(o *lanes.BlockStats, w *[lanes.Lanes]uint64) {
-	if o.Graphs == 0 {
-		return
-	}
-	if !o.PerLane {
-		panic("engine: vector kernel lacks the per-lane view required for weighted sources")
-	}
-	var wsum uint64
-	for live := o.Live; live != 0; live &= live - 1 {
-		wsum += w[mathbits.TrailingZeros64(live)]
-	}
-	s.Graphs += wsum
-	s.TotalBits += wsum * o.GraphBits
+// foldBlock merges one kernel result, mirroring the scalar account
+// contract exactly: Graphs and TotalBits (and, when the kernel decided,
+// Accepted and Rejected) accumulate the weights of the live (accepting)
+// lanes; MaxBits and MaxN are per-graph maxima and stay unweighted. A nil
+// w weighs every lane 1, so the sums are popcounts — no walk over the live
+// bits on unweighted streams, whose kernels may cost O(1) per block.
+func (s *BatchStats) foldBlock(o *lanes.BlockStats, w *[lanes.Lanes]uint64) {
+	graphs := weigh(o.Live, w)
+	s.Graphs += graphs
+	s.TotalBits += graphs * o.GraphBits
 	if o.MaxBits > s.MaxBits {
 		s.MaxBits = o.MaxBits
 	}
@@ -511,48 +452,48 @@ func (s *BatchStats) foldBlockWeighted(o *lanes.BlockStats, w *[lanes.Lanes]uint
 		s.MaxN = o.MaxN
 	}
 	if o.Decided {
-		var wacc uint64
-		for a := o.Accept & o.Live; a != 0; a &= a - 1 {
-			wacc += w[mathbits.TrailingZeros64(a)]
-		}
-		s.Accepted += wacc
-		s.Rejected += wsum - wacc
+		acc := weigh(o.Accept, w)
+		s.Accepted += acc
+		s.Rejected += graphs - acc
 	}
 }
 
-// runShardBuffered is the arena hot loop: messages land in a reused byte
-// arena via the protocol's AppendLocalMessage — zero allocations per graph.
-func (b *Batch) runShardBuffered(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
+// weigh sums the weights of mask's lanes; a nil w weighs each lane 1.
+func weigh(mask uint64, w *[lanes.Lanes]uint64) uint64 {
+	if w == nil {
+		return uint64(mathbits.OnesCount64(mask))
+	}
+	var sum uint64
+	for ; mask != 0; mask &= mask - 1 {
+		sum += w[mathbits.TrailingZeros64(mask)]
+	}
+	return sum
+}
+
+// runGraphs is the per-graph loop. Each graph's messages land in msgs
+// through the fill the batch was built for — the BufferedLocal arena
+// (AppendLocalMessage into one reused byte arena: zero allocations per
+// graph), the configured scheduler (protocol-allocated messages,
+// intra-graph scheduling), or the plain LocalMessage fill — and account
+// folds them into st.
+func (b *Batch) runGraphs(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
 	for g := src.Next(); g != nil; g = src.Next() {
 		n := g.N()
 		msgs := sc.sized(n)
-		sc.arena = sc.arena[:0]
-		for v := 1; v <= n; v++ {
-			sc.nbrs = g.AppendNeighbors(v, sc.nbrs[:0])
-			sc.w.Reset()
-			b.buffered.AppendLocalMessage(&sc.w, n, v, sc.nbrs)
-			msgs[v-1], sc.arena = sc.w.AppendTo(sc.arena)
+		switch {
+		case b.buffered != nil:
+			sc.arena = sc.arena[:0]
+			for v := 1; v <= n; v++ {
+				sc.nbrs = g.AppendNeighbors(v, sc.nbrs[:0])
+				sc.w.Reset()
+				b.buffered.AppendLocalMessage(&sc.w, n, v, sc.nbrs)
+				msgs[v-1], sc.arena = sc.w.AppendTo(sc.arena)
+			}
+		case b.opts.Sched != nil:
+			b.opts.Sched.Run(g, b.p, msgs)
+		default:
+			sc.nbrs = fillRange(g, b.p, msgs, 1, n, sc.nbrs)
 		}
-		b.account(g, weightOf(w), msgs, st, sc)
-	}
-}
-
-// runShardSched runs each graph's local phase under the configured
-// scheduler (protocol-allocated messages, intra-graph scheduling).
-func (b *Batch) runShardSched(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
-	for g := src.Next(); g != nil; g = src.Next() {
-		msgs := sc.sized(g.N())
-		b.opts.Sched.Run(g, b.p, msgs)
-		b.account(g, weightOf(w), msgs, st, sc)
-	}
-}
-
-// runShardPlain is the fallback for protocols without AppendLocalMessage.
-func (b *Batch) runShardPlain(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
-	for g := src.Next(); g != nil; g = src.Next() {
-		n := g.N()
-		msgs := sc.sized(n)
-		sc.nbrs = fillRange(g, b.p, msgs, 1, n, sc.nbrs)
 		b.account(g, weightOf(w), msgs, st, sc)
 	}
 }
@@ -564,8 +505,8 @@ func weightOf(w Weighted) uint64 {
 	return w.Weight()
 }
 
-// account folds one evaluated graph into st — the accounting tail shared by
-// every scalar loop: bit totals, optional referee verdict, optional
+// account folds one evaluated graph into st — the accounting tail of the
+// per-graph loop: bit totals, optional referee verdict, optional
 // transcript observer. The weight (1 for plain sources, the labelled-orbit
 // size for Weighted ones) scales every counter; maxima stay per-graph.
 func (b *Batch) account(g *graph.Graph, weight uint64, msgs []bits.String, st *BatchStats, sc *batchScratch) {
@@ -610,14 +551,4 @@ func RunBatch(p Local, src Source, opts BatchOptions) BatchStats {
 	b := NewBatch(p, opts)
 	defer b.Close()
 	return b.Run(src)
-}
-
-func isVolatile(src Source) bool {
-	v, ok := src.(Volatile)
-	return ok && v.Volatile()
-}
-
-func isWeighted(src Source) bool {
-	_, ok := src.(Weighted)
-	return ok
 }

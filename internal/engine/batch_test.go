@@ -1,11 +1,14 @@
 package engine_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"refereenet/internal/bits"
+	"refereenet/internal/canon"
 	"refereenet/internal/collide"
 	"refereenet/internal/core"
+	"refereenet/internal/corpus"
 	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
@@ -92,11 +95,43 @@ func TestBatchGraySourceSerialEqualsShardedRanges(t *testing.T) {
 		t.Fatalf("full gray run saw %d graphs, want %d", full.Graphs, total)
 	}
 
-	// A volatile source under a worker pool must fall back to one goroutine
-	// and still be correct.
-	forced := engine.RunBatch(p, collide.NewGraySource(n), engine.BatchOptions{Workers: 8})
-	if forced != full {
-		t.Errorf("volatile fallback stats %+v, want %+v", forced, full)
+	// A source whose Next reuses one graph (every BlockSource) or pairs with
+	// Weight (canon) must stay on one goroutine under a worker pool and
+	// still be correct — on the block path and on the per-graph loop, where
+	// a shared reused graph would race. Every source below covers all 2^10
+	// labelled graphs, so each must reproduce the gray totals.
+	path := filepath.Join(t.TempDir(), "n5.corpus")
+	masks := make([]uint64, total)
+	for i := range masks {
+		masks[i] = uint64(i)
+	}
+	if err := corpus.WriteFile(path, n, masks); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() (engine.Source, error)
+	}{
+		{"gray", func() (engine.Source, error) { return collide.NewGraySource(n), nil }},
+		{"canon", func() (engine.Source, error) {
+			src, err := canon.NewClassSource(n, 0, 0)
+			return src, err
+		}},
+		{"file", func() (engine.Source, error) {
+			src, err := corpus.NewFileSource(path, 0, 0)
+			return src, err
+		}},
+	} {
+		for _, noVector := range []bool{false, true} {
+			src, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			forced := engine.RunBatch(p, src, engine.BatchOptions{Workers: 8, NoVector: noVector})
+			if forced != full {
+				t.Errorf("%s NoVector=%v: workers=8 stats %+v, want %+v", tc.name, noVector, forced, full)
+			}
+		}
 	}
 
 	// Pre-split rank ranges parallelize without sharing the reused graph.

@@ -58,10 +58,10 @@ type BufferedLocal interface {
 
 // VectorLocal is an optional lane-parallel variant of Local: the protocol
 // can evaluate a transposed 64-graph lanes.Block with a handful of word ops
-// and fold the result straight into block stats, bypassing the per-graph
-// message loop entirely. Batch detects it once at construction — the same
-// opt-in pattern as BufferedLocal — and routes sources that serve blocks
-// (BlockSource) through the kernel.
+// and report one per-lane result (lanes.BlockStats), bypassing the
+// per-graph message loop entirely. Batch detects it once at construction —
+// the same opt-in pattern as BufferedLocal — and routes sources that serve
+// blocks (BlockSource) through the kernel.
 //
 // VectorKernel may return nil to decline: the instance cannot vectorize
 // under the given decide setting (e.g. an oracle whose predicate has no

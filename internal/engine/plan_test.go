@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -160,6 +161,11 @@ func TestResolveSourceGray(t *testing.T) {
 		{Kind: "gray", N: 4, Lo: 10, Hi: 0},
 		{Kind: "family", Family: "no-such-family", N: 8, Count: 3},
 		{Kind: "family", Family: "gnp", N: 8, Count: -1},
+		// Edge probabilities outside [0, 1] would silently yield complete
+		// (p > 1) or empty (p < 0, NaN) graphs.
+		{Kind: "family", Family: "gnp", N: 8, P: 1.5, Count: 3},
+		{Kind: "family", Family: "gnp", N: 8, P: -0.1, Count: 3},
+		{Kind: "family", Family: "gnp", N: 8, P: math.NaN(), Count: 3},
 		// Valid family, parameters its constructor rejects by panicking:
 		// the resolver must convert that into an error, not crash a worker.
 		{Kind: "family", Family: "ktree", N: 4, K: 10, Count: 5},

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"refereenet/internal/bits"
 	"refereenet/internal/collide"
 	"refereenet/internal/engine"
 	"refereenet/internal/graph"
@@ -162,51 +161,4 @@ func TestWeightedGrayAllOnesEqualsUnweighted(t *testing.T) {
 	if got != want {
 		t.Errorf("all-ones weighted gray %+v, unweighted gray %+v", got, want)
 	}
-}
-
-// rawKernelProto claims VectorLocal with a hand-rolled kernel that fills
-// only the aggregate counters — no per-lane view. Unweighted blocks can
-// fold it, weighted ones cannot: the engine must refuse loudly rather than
-// silently drop weights.
-type rawKernelProto struct{}
-
-func (rawKernelProto) LocalMessage(n, id int, nbrs []int) bits.String {
-	var w bits.Writer
-	w.WriteUint(uint64(id), 8)
-	return w.String()
-}
-
-func (rawKernelProto) VectorKernel(bool) lanes.Kernel {
-	return func(b *lanes.Block, st *lanes.BlockStats) {
-		c := uint64(0)
-		for j := 0; j < b.Count(); j++ {
-			c++
-		}
-		st.Graphs += c
-		st.TotalBits += c * uint64(b.N()) * 8
-		if 8 > st.MaxBits {
-			st.MaxBits = 8
-		}
-		if b.N() > st.MaxN {
-			st.MaxN = b.N()
-		}
-	}
-}
-
-func TestWeightedBlocksRequirePerLaneView(t *testing.T) {
-	b := engine.NewBatch(rawKernelProto{}, engine.BatchOptions{Workers: 1, MaxN: 6})
-	defer b.Close()
-	if !b.Vectorized() {
-		t.Fatal("rawKernelProto batch did not engage the vector path")
-	}
-	// Unweighted blocks fold fine without the view.
-	if st := b.Run(collide.NewGraySourceRange(6, 0, 100)); st.Graphs != 100 {
-		t.Fatalf("unweighted raw-kernel run counted %d graphs, want 100", st.Graphs)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("weighted run with a view-less kernel did not panic")
-		}
-	}()
-	b.Run(randomWeighted(6, 10, 1, 3))
 }

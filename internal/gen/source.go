@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"refereenet/internal/engine"
@@ -45,6 +46,9 @@ func NewFamilySource(seed int64, family string, n, k int, p float64, count int) 
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("gen: family source needs n ≥ 1, got %d", n)
+	}
+	if math.IsNaN(p) || p < 0 || p > 1 {
+		return nil, fmt.Errorf("gen: edge probability p=%g outside [0, 1]", p)
 	}
 	if err := probeFamily(seed, family, n, k, p); err != nil {
 		return nil, err

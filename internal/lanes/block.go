@@ -1,11 +1,13 @@
 // Package lanes implements bitsliced ("SIMD within a register") evaluation
-// of labelled-graph protocols: up to 64 consecutive Gray-code ranks are
-// stored transposed — one uint64 per edge position, bit j of lane e meaning
-// "edge e is present in the block's j-th graph" — so per-node degree counts,
-// mod-k residues, parity and subgraph predicates become a handful of word
+// of labelled-graph protocols: up to 64 graphs — consecutive Gray-code
+// ranks (FillGray) or any explicit edge masks (FillMasks) — are stored
+// transposed, one uint64 per edge position, bit j of lane e meaning "edge e
+// is present in the block's j-th graph". Per-node degree counts, mod-k
+// residues, parity and subgraph predicates then become a handful of word
 // ops per edge lane instead of 64 scalar protocol runs. internal/engine
 // consumes blocks through its opt-in VectorLocal/BlockSource capability
-// pair; the kernels here are the arithmetic that pays for the transpose.
+// pair: a Kernel reports one per-lane result (BlockStats) per block, and
+// the engine folds it, weighting each lane by 1 or by its orbit weight.
 package lanes
 
 import (

@@ -1,69 +1,39 @@
 package lanes
 
-import "math/bits"
-
-// BlockStats is what a kernel folds one block into: the same counters and
-// maxima as engine.BatchStats, kept here (lanes cannot import engine) so
-// the engine's fold is a field-by-field merge. Counters add across blocks;
-// maxima take the larger value.
+// BlockStats is a kernel's result for one block: a per-lane view that the
+// engine folds into engine.BatchStats (lanes cannot import engine). Live is
+// the block's live mask and GraphBits the per-graph message-bit total,
+// which every in-tree kernel computes from n alone, so it is uniform across
+// the block. Accept is the verdict word, valid only when Decided; MaxBits
+// and MaxN are per-graph maxima. The fold weighs each live lane — by 1, or
+// by its orbit weight on a weighted source — so the counters (graphs, bits,
+// accepted, rejected) live only in the fold, never in the kernel.
 type BlockStats struct {
-	Graphs    uint64
-	TotalBits uint64
-	MaxBits   int
-	MaxN      int
-	Accepted  uint64
-	Rejected  uint64
-	Errors    uint64
-
-	// Per-lane view, for weighted folds (orbit-weighted class blocks): the
-	// aggregate counters above weigh every lane equally, but a weighted
-	// source needs to know *which* lanes contributed so it can scale each by
-	// its own weight. Kernels that fill these set PerLane; Live is the
-	// block's live mask, GraphBits the per-graph message-bit total (so
-	// TotalBits == Graphs·GraphBits), and Accept the verdict word (valid
-	// only when Decided). The in-tree kernel constructors always fill the
-	// view; a hand-rolled kernel that leaves PerLane false simply cannot
-	// serve weighted sources.
 	Live      uint64
 	Accept    uint64
 	GraphBits uint64
-	PerLane   bool
+	MaxBits   int
+	MaxN      int
 	Decided   bool
 }
 
-// Kernel evaluates one transposed block, adding its tallies into st. The
-// contract mirrors the scalar batch loop exactly: Graphs counts live lanes,
-// TotalBits sums every node message's bits, MaxBits/MaxN are per-block
-// maxima, and Accepted/Rejected partition the live lanes when the kernel
-// decides. A kernel must never count dead lanes — AND accept words with
-// the block's LiveMask.
+// Kernel evaluates one transposed block and overwrites st with its result.
+// The contract mirrors the scalar batch loop exactly: the fold of st over
+// a block must equal the scalar loop over the block's live graphs. A
+// kernel must never report dead lanes — AND accept words with the block's
+// LiveMask.
 type Kernel func(b *Block, st *BlockStats)
 
 // ConstWidthKernel is the kernel of any protocol whose per-node message
 // width on n-vertex graphs is data-independent (the fixed-width strawmen:
 // degree, mod-k, hash sketches). Message *content* varies per graph, but
-// batch statistics only see bit counts, so the whole block folds in O(1):
-// c live graphs × n nodes × width(n) bits.
+// batch statistics only see bit counts, so the whole block is one O(1)
+// result: every live graph ships n nodes × width(n) bits.
 func ConstWidthKernel(width func(n int) int) Kernel {
 	return func(b *Block, st *BlockStats) {
-		live := b.LiveMask()
-		c := uint64(bits.OnesCount64(live))
-		if c == 0 {
-			return
-		}
 		n := b.N()
 		w := width(n)
-		st.Graphs += c
-		st.TotalBits += c * uint64(n) * uint64(w)
-		if w > st.MaxBits {
-			st.MaxBits = w
-		}
-		if n > st.MaxN {
-			st.MaxN = n
-		}
-		st.Live = live
-		st.GraphBits = uint64(n) * uint64(w)
-		st.PerLane = true
+		*st = BlockStats{Live: b.LiveMask(), GraphBits: uint64(n) * uint64(w), MaxBits: w, MaxN: n}
 	}
 }
 
@@ -79,12 +49,7 @@ func DecideKernel(width func(n int) int, accept func(b *Block) uint64, decide bo
 	}
 	return func(b *Block, st *BlockStats) {
 		base(b, st)
-		live := b.LiveMask()
-		a := accept(b) & live
-		na := uint64(bits.OnesCount64(a))
-		st.Accepted += na
-		st.Rejected += uint64(bits.OnesCount64(live)) - na
-		st.Accept = a
+		st.Accept = accept(b) & st.Live
 		st.Decided = true
 	}
 }
