@@ -235,6 +235,7 @@ func BenchmarkVectorBatch(b *testing.B) {
 		{"mod7", false},
 		{"hash16", false},
 		{"oracle-triangle", true},
+		{"oracle-diam3", true},
 		{"oracle-conn", true},
 		{"forest", false},
 		{"oracle-forest", true},
@@ -768,7 +769,7 @@ func BenchmarkSweepCanonVector(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, proto := range []string{"oracle-conn", "oracle-forest"} {
+	for _, proto := range []string{"oracle-diam3", "oracle-conn", "oracle-forest"} {
 		for _, mode := range []string{"scalar", "vector"} {
 			b.Run(fmt.Sprintf("%s/n=8/%s", proto, mode), func(b *testing.B) {
 				p, ok := engine.New(proto, engine.Config{N: n})

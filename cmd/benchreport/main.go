@@ -109,7 +109,9 @@ func runSuite(bench, benchtime, pkg string, count int) (*Report, string, error) 
 	if count < 1 {
 		count = 1
 	}
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", bench,
+	// The default suite at -count 5 outlasts go test's 10-minute default
+	// timeout on a 2-vCPU host, so the hang guard is set explicitly.
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", bench, "-timeout", "1h",
 		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
 	raw, err := cmd.CombinedOutput()
 	out := string(raw)

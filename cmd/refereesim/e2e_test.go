@@ -57,6 +57,7 @@ func TestRefereesim(t *testing.T) {
 	fleet := a.addr + ";" + b.addr // ';' is -connect's alternative separator
 
 	oracleConn := []string{"-protocol", "oracle-conn", "-decide"}
+	oracleDiam3 := []string{"-protocol", "oracle-diam3", "-decide"}
 	canonConn := []string{"-source", "canon", "-protocol", "oracle-conn", "-decide"}
 	canonForest := []string{"-source", "canon", "-protocol", "oracle-forest", "-decide"}
 	chunked := []string{"-sched", "chunked"}
@@ -68,6 +69,8 @@ func TestRefereesim(t *testing.T) {
 		// the same stats line, byte for byte, carrying want.
 		sweeps [][]string
 		want   totals
+		// n, when set, replaces the suite's graph size for sweeps.
+		n string
 		// rejected are invocations that must fail with an error naming
 		// wantErr.
 		rejected [][]string
@@ -96,6 +99,12 @@ func TestRefereesim(t *testing.T) {
 			want:   totals{sp.graphs, sp.connected},
 		},
 		{
+			name:   "vector-eq-chunked/oracle-diam3",
+			sweeps: [][]string{oracleDiam3, slices.Concat(oracleDiam3, chunked)},
+			want:   totals{n6.graphs, 23464},
+			n:      "6",
+		},
+		{
 			name:   "canon-eq-gray/oracle-conn",
 			sweeps: [][]string{canonConn, slices.Concat(canonConn, chunked), oracleConn},
 			want:   totals{sp.graphs, sp.connected},
@@ -114,6 +123,11 @@ func TestRefereesim(t *testing.T) {
 			name:     "rejects-negative-retries",
 			rejected: [][]string{{"-n", "5", "-retries", "-1"}, {"-n", "5", "-retries", "-1", "-connect", fleet}},
 			wantErr:  "-retries",
+		},
+		{
+			name:     "rejects-negative-k",
+			rejected: [][]string{{"-protocol", "oracle-diam3", "-decide", "-n", "5", "-k", "-1"}, {"-n", "5", "-k", "-1", "-connect", fleet}},
+			wantErr:  "-k",
 		},
 		{name: "in-process-manifest-resume", run: testInProcessResume},
 		{name: "n9-window-parallel4", run: testN9Window},
@@ -134,9 +148,13 @@ func TestRefereesim(t *testing.T) {
 					t.Errorf("sweep %v: error %v, want one naming %s", args, err, tc.wantErr)
 				}
 			}
+			size := n
+			if tc.n != "" {
+				size = tc.n
+			}
 			var first string
 			for i, args := range tc.sweeps {
-				line, _ := mustSweep(t, slices.Concat(args, []string{"-n", n, "-units", "16", "-connect", fleet})...)
+				line, _ := mustSweep(t, slices.Concat(args, []string{"-n", size, "-units", "16", "-connect", fleet})...)
 				if i == 0 {
 					first = line
 					checkTotals(t, line, tc.want)

@@ -68,6 +68,9 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be ≥ 0 (got %d)", *retries)
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k must be ≥ 0 (got %d)", *k)
+	}
 
 	var addrs []string
 	if *connect != "" {

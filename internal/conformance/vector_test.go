@@ -35,12 +35,12 @@ var vectorFixtures = []struct {
 // regression.
 var vectorMinimumLineup = []string{
 	"degree", "mod3", "mod7", "hash16",
-	"oracle-triangle", "oracle-square", "oracle-conn",
+	"oracle-triangle", "oracle-square", "oracle-diam3", "oracle-conn",
 	"forest", "oracle-forest",
 }
 
 // vectorDeciderLineup additionally must vectorize their verdicts.
-var vectorDeciderLineup = []string{"oracle-triangle", "oracle-square", "oracle-conn", "oracle-forest"}
+var vectorDeciderLineup = []string{"oracle-triangle", "oracle-square", "oracle-diam3", "oracle-conn", "oracle-forest"}
 
 func statsJSON(t *testing.T, st engine.BatchStats) string {
 	t.Helper()

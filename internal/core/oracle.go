@@ -19,9 +19,9 @@ type OracleDecider struct {
 	Label string
 	Pred  func(*graph.Graph) bool
 	// Accept, when non-nil, is the lane-parallel form of Pred: per-lane
-	// accept bits over a transposed 64-graph block. Oracles whose predicate
-	// has a bitsliced kernel (triangle, square, connectivity) set it; the
-	// rest decline VectorKernel and run scalar.
+	// accept bits over a transposed 64-graph block. Every oracle in this
+	// package sets it (triangle, square, diameter, connectivity, forest); an
+	// oracle without one declines VectorKernel and runs scalar.
 	Accept func(*lanes.Block) uint64
 }
 
@@ -128,8 +128,9 @@ func NewTriangleOracle() *OracleDecider {
 // NewDiameterOracle decides "diam(G) ≤ d" (Theorem 2 uses d = 3).
 func NewDiameterOracle(d int) *OracleDecider {
 	return &OracleDecider{
-		Label: fmt.Sprintf("diameter<=%d", d),
-		Pred:  func(g *graph.Graph) bool { return g.DiameterAtMost(d) },
+		Label:  fmt.Sprintf("diameter<=%d", d),
+		Pred:   func(g *graph.Graph) bool { return g.DiameterAtMost(d) },
+		Accept: func(b *lanes.Block) uint64 { return b.DiameterAtMost(d) },
 	}
 }
 

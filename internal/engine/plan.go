@@ -256,6 +256,11 @@ func SplitRange(lo, hi uint64, units int) [][2]uint64 {
 // the sweep coordinator's job, so each shard itself runs single-worker and —
 // for BufferedLocal protocols under the serial scheduler — allocation-free).
 func ExecuteShard(spec ShardSpec) (BatchStats, error) {
+	if spec.Config.K < 0 {
+		// Registrations read K ≤ 0 as their default, so a negative K would
+		// run the k = 0 sweep under a plan that fingerprints apart from it.
+		return BatchStats{}, fmt.Errorf("engine: negative k %d", spec.Config.K)
+	}
 	p, ok := New(spec.Protocol, spec.Config)
 	if !ok {
 		return BatchStats{}, fmt.Errorf("engine: unknown protocol %q", spec.Protocol)

@@ -238,6 +238,7 @@ func TestExecuteShardErrors(t *testing.T) {
 		{Protocol: "no-such-protocol", Source: engine.SourceSpec{Kind: "gray", N: 3}},
 		{Protocol: "degree", Sched: "no-such-sched", Source: engine.SourceSpec{Kind: "gray", N: 3}},
 		{Protocol: "degree", Source: engine.SourceSpec{Kind: "no-such-kind"}},
+		{Protocol: "oracle-diam3", Config: engine.Config{K: -1}, Decide: true, Source: engine.SourceSpec{Kind: "gray", N: 3, Hi: 8}},
 	} {
 		if _, err := engine.ExecuteShard(bad); err == nil {
 			t.Errorf("spec %+v executed without error", bad)

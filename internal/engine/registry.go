@@ -18,7 +18,7 @@ type Config struct {
 	// K is the protocol's structural parameter: the degeneracy bound of the
 	// reconstruction protocols, the degree bound of bounded-degree, the
 	// diameter threshold of the diameter oracle. Zero selects the
-	// registration's default.
+	// registration's default; ExecuteShard rejects a negative K.
 	K int `json:"k,omitempty"`
 	// Seed feeds protocols that use public randomness (the connectivity
 	// sketch). Zero is a valid seed.

@@ -3,8 +3,10 @@ package engine_test
 import (
 	"testing"
 
+	"refereenet/internal/canon"
 	"refereenet/internal/collide"
 	"refereenet/internal/engine"
+	"refereenet/internal/graph"
 )
 
 // bruteCount counts the labelled graphs on n vertices with property has,
@@ -103,9 +105,8 @@ func diamAtMost3Brute(adj [][]bool) bool {
 // paper proves undecidable by frugal protocols to counts computed without
 // the repo's graph code, and demands that each oracle protocol accepts
 // exactly that many labelled graphs at n = 1…6 on both the vector and the
-// scalar batch path (oracle-diam3 has no lane kernel, so both of its runs
-// are scalar). The triangle-free complements 1, 2, 7, 41, 388, 5789 are
-// OEIS A006785.
+// scalar batch path. The triangle-free complements 1, 2, 7, 41, 388, 5789
+// are OEIS A006785.
 func TestUndecidablePredicatesIndependentCounts(t *testing.T) {
 	cases := []struct {
 		protocol string
@@ -136,6 +137,66 @@ func TestUndecidablePredicatesIndependentCounts(t *testing.T) {
 						c.protocol, n, noVector, st, want, total)
 				}
 			}
+		}
+	}
+}
+
+// diam3Quotient is Σ n!/|Aut| over the diameter ≤ 3 isomorphism classes:
+// the labelled count, n = 1…9. The n = 9 value has never been reached by a
+// labelled walk (2^36 graphs); it is the quotient column below.
+var diam3Quotient = [9]uint64{1, 1, 4, 38, 668, 23464, 1641976, 226418312, 61417339232}
+
+// TestDiameterQuotientIndependentCounts checks diameter ≤ 3 through the
+// isomorphism quotient up to n = 9 (n = 8 under -short): one brute-force
+// BFS per class representative, weighted by its orbit size, must sum to
+// the weighted vector sweep of oracle-diam3 over the same class table. Only
+// the mask-to-pair order comes from internal/graph (a representative's
+// mask is only meaningful in that order); the verdict is diamAtMost3Brute.
+func TestDiameterQuotientIndependentCounts(t *testing.T) {
+	top := 9
+	if testing.Short() {
+		top = 8
+	}
+	for n := 1; n <= top; n++ {
+		classes, err := canon.Classes(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := make([][]bool, n)
+		for i := range adj {
+			adj[i] = make([]bool, n)
+		}
+		var brute uint64
+		for _, c := range classes {
+			for e := 0; e < n*(n-1)/2; e++ {
+				u, v := graph.EdgePair(n, e)
+				on := c.Mask>>uint(e)&1 == 1
+				adj[u-1][v-1], adj[v-1][u-1] = on, on
+			}
+			if diamAtMost3Brute(adj) {
+				brute += c.Weight
+			}
+		}
+		if want := diam3Quotient[n-1]; brute != want {
+			t.Errorf("n=%d: brute force over %d classes counts %d, want %d", n, len(classes), brute, want)
+		}
+
+		p, ok := engine.New("oracle-diam3", engine.Config{N: n})
+		if !ok {
+			t.Fatal("oracle-diam3 not registered")
+		}
+		b := engine.NewBatch(p, engine.BatchOptions{Workers: 1, Decide: true, MaxN: n})
+		if !b.Vectorized() {
+			t.Fatal("oracle-diam3 batch did not engage the vector path")
+		}
+		src, err := canon.NewClassSource(n, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := b.Run(src)
+		b.Close()
+		if total := uint64(1) << uint(n*(n-1)/2); st.Graphs != total || st.Accepted != brute || st.Rejected != total-brute {
+			t.Errorf("n=%d: weighted vector sweep %+v, want %d of %d accepted", n, st, brute, total)
 		}
 	}
 }

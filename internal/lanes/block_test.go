@@ -354,6 +354,17 @@ func scalarCheck(t *testing.T, b *Block) {
 			t.Fatalf("%s kernel sets dead-lane bits %#x", w.name, w.bits&^b.LiveMask())
 		}
 	}
+	// Diameter bounds: the degenerate d ≤ 0, each round count up to
+	// Theorem 2's d = 3, the most rounds (d = n−2) and d = n−1 (plain
+	// connectivity).
+	diamD := []int{-1, 0, 1, 2, 3, n - 2, n - 1}
+	var diam [7]uint64
+	for i, d := range diamD {
+		diam[i] = b.DiameterAtMost(d)
+		if diam[i]&^b.LiveMask() != 0 {
+			t.Fatalf("diameter<=%d kernel sets dead-lane bits %#x", d, diam[i]&^b.LiveMask())
+		}
+	}
 	var deg, sum [graph.MaxSmallN + 1]Counter
 	par := [graph.MaxSmallN + 1]uint64{}
 	for v := 1; v <= n; v++ {
@@ -393,6 +404,12 @@ func scalarCheck(t *testing.T, b *Block) {
 		}
 		if got, want := fst&lane != 0, g.IsForest(); got != want {
 			t.Fatalf("slot %d (mask %#x): lane forest %v, scalar %v", j, g.EdgeMask(), got, want)
+		}
+		full := g.Graph()
+		for i, d := range diamD {
+			if got, want := diam[i]&lane != 0, full.DiameterAtMost(d); got != want {
+				t.Fatalf("slot %d (mask %#x): lane diameter<=%d %v, scalar %v", j, g.EdgeMask(), d, got, want)
+			}
 		}
 	}
 }
@@ -442,7 +459,11 @@ func TestKernelsWindowsN9(t *testing.T) {
 // edges, far past its 4-plane counter), the complete graph minus each edge,
 // random spanning trees (exactly n−1 edges, forests), a cycle on n−1
 // vertices beside an isolated vertex (n−1 edges, not a forest) and random
-// unicyclic spanning graphs (exactly n edges).
+// unicyclic spanning graphs (exactly n edges). For the diameter kernel it
+// adds every star and random caterpillars of each diameter 2…n−1: a
+// spine path of dd+1 vertices with the rest hung on interior spine
+// vertices, so the diameter is exactly dd and every bound d that
+// scalarCheck asks meets graphs of diameter exactly d and exactly d + 1.
 func TestKernelsFillMasksLargeN(t *testing.T) {
 	rng := rand.New(rand.NewSource(1011))
 	var b Block
@@ -483,6 +504,28 @@ func TestKernelsFillMasksLargeN(t *testing.T) {
 					masks = append(masks, m|extra)
 					break
 				}
+			}
+		}
+		for c := 1; c <= n; c++ {
+			var m uint64
+			for v := 1; v <= n; v++ {
+				if v != c {
+					m |= bit(c, v)
+				}
+			}
+			masks = append(masks, m)
+		}
+		for dd := 2; dd <= n-1; dd++ {
+			for i := 0; i < 8; i++ {
+				order := rng.Perm(n)
+				var m uint64
+				for k := 0; k < dd; k++ {
+					m |= bit(order[k]+1, order[k+1]+1)
+				}
+				for k := dd + 1; k < n; k++ {
+					m |= bit(order[k]+1, order[1+rng.Intn(dd-1)]+1)
+				}
+				masks = append(masks, m)
 			}
 		}
 		for i := 0; i < 256; i++ {

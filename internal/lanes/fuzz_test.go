@@ -72,6 +72,7 @@ func FuzzLaneBlock(f *testing.F) {
 			{"squares", b.Squares()},
 			{"connected", b.Connected()},
 			{"forests", b.Forests()},
+			{"diameter<=3", b.DiameterAtMost(3)},
 			{"parity", b.DegreeParity(1)},
 		} {
 			if k.bits&^live != 0 {

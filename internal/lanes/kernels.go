@@ -220,3 +220,56 @@ func (b *Block) Connected() uint64 {
 	}
 	return acc
 }
+
+// DiameterAtMost reports, per lane, whether every vertex pair lies within
+// distance d — graph.DiameterAtMost, so a disconnected lane fails. It keeps
+// one word per vertex pair, the lanes where dist(u,v) ≤ k, starting from
+// the edge lanes (k = 1). Each round extends every pair by exactly one hop,
+//
+//	within'[uv] = within[uv] | OR_w within[uw] & lane[wv],
+//
+// reading only the previous round's words: updating in place would let one
+// round add two hops. It runs d−1 rounds and stops early once every pair
+// word is the live mask. The verdict is the AND of the pair words. Both
+// operands are held as full vertex-by-vertex matrices with a zero
+// diagonal, so the OR over w is a walk along two rows with no pair-index
+// lookups, and w = u or w = v contributes nothing. d ≥ n−1 only asks for
+// connectivity, so it is Connected; d = 0 accepts exactly the one-vertex
+// graph and d < 0 accepts nothing, as the scalar BFS does.
+func (b *Block) DiameterAtMost(d int) uint64 {
+	n := b.n
+	switch {
+	case d >= n-1:
+		return b.Connected() // also the one-vertex graph at d = 0
+	case d <= 0:
+		return 0 // two distinct vertices are never 0 apart
+	}
+	var adj, bufA, bufB [graph.MaxSmallN][graph.MaxSmallN]uint64
+	all := b.live // the AND of the current round's pair words
+	for e := 0; e < b.edges; e++ {
+		u, v := b.us[e]-1, b.vs[e]-1
+		adj[u][v], adj[v][u] = b.lane[e], b.lane[e]
+		all &= b.lane[e]
+	}
+	bufA = adj
+	cur, next := &bufA, &bufB
+	for round := 1; round < d && all != b.live; round++ {
+		all = b.live
+		for u := 0; u < n-1; u++ {
+			wu := &cur[u]
+			for v := u + 1; v < n; v++ {
+				acc := wu[v]
+				if acc != b.live {
+					av := &adj[v]
+					for w := 0; w < n; w++ {
+						acc |= wu[w] & av[w]
+					}
+				}
+				next[u][v], next[v][u] = acc, acc
+				all &= acc
+			}
+		}
+		cur, next = next, cur
+	}
+	return all
+}

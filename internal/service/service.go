@@ -365,6 +365,9 @@ func validatePlan(plan engine.Plan) error {
 		if !kinds[sh.Source.Kind] {
 			return fmt.Errorf("shard %d: unknown source kind %q", i, sh.Source.Kind)
 		}
+		if sh.Config.K < 0 {
+			return fmt.Errorf("shard %d: negative k %d", i, sh.Config.K)
+		}
 	}
 	return nil
 }
