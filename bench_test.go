@@ -174,6 +174,30 @@ func BenchmarkRunBatch(b *testing.B) {
 			}
 		}
 	})
+	// Theorem 5's local phase on 64-vertex 3-trees, scalar-mix's degeneracy
+	// op: word-sized power sums and the byte writer, 0 allocs/op.
+	ktrees := make([]*graph.Graph, 200)
+	for i := range ktrees {
+		ktrees[i] = gen.KTree(rng, 64, 3)
+	}
+	b.Run("serial/degeneracy/ktree64", func(b *testing.B) {
+		degen, ok := engine.New("degeneracy", engine.Config{N: 64, K: 3})
+		if !ok {
+			b.Fatal("degeneracy not registered")
+		}
+		bt := engine.NewBatch(degen, engine.BatchOptions{Workers: 1, MaxN: 64})
+		defer bt.Close()
+		src := engine.NewSliceSource(ktrees)
+		bt.Run(src)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src.Reset()
+			if st := bt.Run(src); st.Graphs != uint64(len(ktrees)) {
+				b.Fatalf("ran %d graphs", st.Graphs)
+			}
+		}
+	})
 	b.Run("pool/forest/10k", func(b *testing.B) {
 		bt := engine.NewBatch(forest, engine.BatchOptions{MaxN: 32})
 		defer bt.Close()
@@ -367,10 +391,8 @@ func BenchmarkPowerSumAccumulator(b *testing.B) {
 		b.ReportAllocs()
 		var acc numeric.PowerSumAccumulator
 		for i := 0; i < b.N; i++ {
-			acc.Reset(3)
-			for _, x := range nbrs {
-				acc.Add(uint64(x))
-			}
+			acc.Reset(64, 3)
+			acc.Add(nbrs...)
 		}
 	})
 }
@@ -576,11 +598,11 @@ func BenchmarkPowerSumArithmetic(b *testing.B) {
 			numeric.PowerSums(ids, 3)
 		}
 	})
-	b.Run("uint64/k=3", func(b *testing.B) {
+	b.Run("accumulator/k=3", func(b *testing.B) {
+		var acc numeric.PowerSumAccumulator
 		for i := 0; i < b.N; i++ {
-			if _, ok := numeric.PowerSumsU64(ids, 3); !ok {
-				b.Fatal("unexpected overflow")
-			}
+			acc.Reset(ids[len(ids)-1], 3)
+			acc.Add(ids...)
 		}
 	})
 }

@@ -8,8 +8,10 @@
 package bits
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	mathbits "math/bits"
 	"strings"
 )
 
@@ -65,9 +67,7 @@ func (s String) String() string {
 func Concat(parts ...String) String {
 	var w Writer
 	for _, p := range parts {
-		for i := 0; i < p.n; i++ {
-			w.WriteBit(p.Bit(i))
-		}
+		w.WriteBitString(p)
 	}
 	return w.String()
 }
@@ -110,8 +110,40 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bits: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(int(v >> uint(i) & 1))
+	w.writeBits(v, width)
+}
+
+// writeBits appends the low width bits of v (width in [0,64], higher bits of
+// v already zero): it tops up the current partial byte, then appends the
+// remaining bits, most significant first, as one 8-byte store cut back to
+// the bytes they cover.
+func (w *Writer) writeBits(v uint64, width int) {
+	if width == 0 {
+		return
+	}
+	used := w.n & 7
+	w.n += width
+	if used != 0 {
+		free := 8 - used
+		if width <= free {
+			w.data[len(w.data)-1] |= byte(v << uint(free-width))
+			return
+		}
+		width -= free
+		w.data[len(w.data)-1] |= byte(v >> uint(width))
+	}
+	w.data = binary.BigEndian.AppendUint64(w.data, v<<uint(64-width))
+	w.data = w.data[:len(w.data)-8+(width+7)>>3]
+}
+
+// WriteBitString appends the bits of s, a byte per step.
+func (w *Writer) WriteBitString(s String) {
+	full := s.n >> 3
+	for _, b := range s.data[:full] {
+		w.writeBits(uint64(b), 8)
+	}
+	if tail := s.n & 7; tail != 0 {
+		w.writeBits(uint64(s.data[full]>>uint(8-tail)), tail)
 	}
 }
 
@@ -122,9 +154,7 @@ func (w *Writer) WriteEliasGamma(v uint64) {
 		panic("bits: Elias gamma requires v >= 1")
 	}
 	nbits := bitLen(v)
-	for i := 0; i < nbits-1; i++ {
-		w.WriteBit(0)
-	}
+	w.writeBits(0, nbits-1)
 	w.WriteUint(v, nbits)
 }
 
@@ -156,50 +186,33 @@ func (w *Writer) WriteBigInt(v *big.Int) {
 	}
 }
 
-// WriteBigIntWidth appends a non-negative big integer as exactly width bits.
-// It panics if the value does not fit.
-func (w *Writer) WriteBigIntWidth(v *big.Int, width int) {
-	if v.Sign() < 0 {
-		panic("bits: WriteBigIntWidth requires v >= 0")
-	}
-	if v.BitLen() > width {
-		panic(fmt.Sprintf("bits: value of %d bits does not fit in %d", v.BitLen(), width))
-	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(int(v.Bit(i)))
-	}
-}
-
 // WriteLimbsWidth appends a non-negative integer, given as little-endian
 // 64-bit limbs (limbs[0] holds bits 0..63), as exactly width bits, most
-// significant bit first. It is the fixed-width big-integer encoding of
-// WriteBigIntWidth for callers that keep their values in machine words (the
-// allocation-free power-sum accumulator in internal/numeric); the two write
-// identical bit strings for identical values. It panics if the value does
-// not fit in width bits.
+// significant bit first: the fixed-width power-sum encoding of the
+// Theorem 5 messages, whose sums live in machine words
+// (numeric.PowerSumAccumulator). Limbs beyond the width must be zero; a
+// width beyond the limbs is zero-extended. It panics if the value does not
+// fit in width bits.
 func (w *Writer) WriteLimbsWidth(limbs []uint64, width int) {
 	if width < 0 {
 		panic(fmt.Sprintf("bits: invalid width %d", width))
 	}
-	for i, l := range limbs {
-		excess := 64*i - width // bits of limb i at or above width
-		switch {
-		case excess >= 0:
-			if l != 0 {
+	for i := len(limbs) - 1; i >= 0; i-- {
+		if limbs[i] != 0 {
+			if 64*i+bitLen(limbs[i]) > width {
 				panic(fmt.Sprintf("bits: limb value does not fit in %d bits", width))
 			}
-		case excess > -64:
-			if l>>uint(width-64*i) != 0 {
-				panic(fmt.Sprintf("bits: limb value does not fit in %d bits", width))
-			}
+			break
 		}
 	}
-	for i := width - 1; i >= 0; i-- {
-		bit := 0
-		if i>>6 < len(limbs) {
-			bit = int(limbs[i>>6] >> (uint(i) & 63) & 1)
-		}
-		w.WriteBit(bit)
+	for width > 64*len(limbs) {
+		pad := min(width-64*len(limbs), 64)
+		w.writeBits(0, pad)
+		width -= pad
+	}
+	for i := (width - 1) >> 6; i >= 0; i-- {
+		w.writeBits(limbs[i], width-64*i)
+		width = 64 * i
 	}
 }
 
@@ -347,14 +360,7 @@ func (r *Reader) ReadBigIntWidth(width int) (*big.Int, error) {
 }
 
 // bitLen returns the number of bits needed to represent v ≥ 1.
-func bitLen(v uint64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
+func bitLen(v uint64) int { return mathbits.Len64(v) }
 
 // Width returns the number of bits needed to encode values in [0, max],
 // i.e. the width both sides of a protocol agree on when max is public.

@@ -63,6 +63,149 @@ func TestWriteUintOverflowPanics(t *testing.T) {
 	w.WriteUint(8, 3)
 }
 
+// writeBitsRef is the bit-at-a-time reference writer: v's low width bits,
+// most significant first.
+func writeBitsRef(w *Writer, v uint64, width int) {
+	for i := width - 1; i >= 0; i-- {
+		w.WriteBit(int(v >> uint(i) & 1))
+	}
+}
+
+// writeBigWidthRef is the big.Int fixed-width reference writer.
+func writeBigWidthRef(w *Writer, v *big.Int, width int) {
+	for i := width - 1; i >= 0; i-- {
+		w.WriteBit(int(v.Bit(i)))
+	}
+}
+
+// The byte-at-a-time writers must emit exactly the bits of the bit-by-bit
+// reference from every start offset within a byte and at every width, and
+// leave the writer ready for the next field.
+func TestWriteUintMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for offset := 0; offset < 8; offset++ {
+		for width := 0; width <= 64; width++ {
+			for trial := 0; trial < 4; trial++ {
+				v := rng.Uint64()
+				switch {
+				case width == 0:
+					v = 0
+				case width < 64:
+					v &= 1<<uint(width) - 1
+				}
+				if trial == 1 && width > 0 {
+					v = 1<<uint(width-1) | 1 // both ends set
+				}
+				prefix := rng.Uint64() & (1<<uint(offset) - 1)
+				var got, want Writer
+				got.WriteUint(prefix, offset)
+				writeBitsRef(&want, prefix, offset)
+				got.WriteUint(v, width)
+				writeBitsRef(&want, v, width)
+				got.WriteUint(5, 3)
+				writeBitsRef(&want, 5, 3)
+				if !got.String().Equal(want.String()) {
+					t.Fatalf("offset=%d width=%d v=%#x: %s, want %s", offset, width, v, got.String(), want.String())
+				}
+			}
+		}
+	}
+}
+
+func TestWriteLimbsWidthMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for offset := 0; offset < 8; offset++ {
+		for width := 0; width <= 64; width++ {
+			for _, nlimbs := range []int{0, 1, 2} {
+				limbs := make([]uint64, nlimbs)
+				if nlimbs > 0 && width > 0 {
+					limbs[0] = rng.Uint64()
+					if width < 64 {
+						limbs[0] &= 1<<uint(width) - 1
+					}
+				}
+				prefix := uint64(0xa5) & (1<<uint(offset) - 1)
+				var got, want Writer
+				got.WriteUint(prefix, offset)
+				writeBitsRef(&want, prefix, offset)
+				got.WriteLimbsWidth(limbs, width)
+				v := uint64(0)
+				if nlimbs > 0 {
+					v = limbs[0]
+				}
+				writeBitsRef(&want, v, width)
+				if !got.String().Equal(want.String()) {
+					t.Fatalf("offset=%d width=%d limbs=%#x: %s, want %s", offset, width, limbs, got.String(), want.String())
+				}
+			}
+			// A two-limb value across the 64-bit boundary, width+64 wide.
+			hi := rng.Uint64()
+			if width < 64 {
+				hi &= 1<<uint(width) - 1
+			}
+			lo := rng.Uint64()
+			var got, want Writer
+			got.WriteUint(0, offset)
+			writeBitsRef(&want, 0, offset)
+			got.WriteLimbsWidth([]uint64{lo, hi}, width+64)
+			writeBitsRef(&want, hi, width)
+			writeBitsRef(&want, lo, 64)
+			if !got.String().Equal(want.String()) {
+				t.Fatalf("offset=%d width=%d two limbs: %s, want %s", offset, width+64, got.String(), want.String())
+			}
+		}
+	}
+}
+
+func TestWriteBitStringMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for offset := 0; offset < 8; offset++ {
+		for length := 0; length <= 70; length++ {
+			var src Writer
+			for i := 0; i < length; i++ {
+				src.WriteBit(rng.Intn(2))
+			}
+			s := src.String()
+			var got, want Writer
+			got.WriteUint(0x5a&(1<<uint(offset)-1), offset)
+			writeBitsRef(&want, 0x5a&(1<<uint(offset)-1), offset)
+			got.WriteBitString(s)
+			for i := 0; i < s.Len(); i++ {
+				want.WriteBit(s.Bit(i))
+			}
+			got.WriteUint(3, 2)
+			writeBitsRef(&want, 3, 2)
+			if !got.String().Equal(want.String()) {
+				t.Fatalf("offset=%d length=%d: %s, want %s", offset, length, got.String(), want.String())
+			}
+		}
+	}
+}
+
+// Overflow still panics at every width, whatever the start offset.
+func TestWriteUintOverflowPanicsEveryWidth(t *testing.T) {
+	for offset := 0; offset < 8; offset++ {
+		for width := 0; width < 64; width++ {
+			for _, write := range []func(w *Writer){
+				func(w *Writer) { w.WriteUint(1<<uint(width), width) },
+				func(w *Writer) { w.WriteLimbsWidth([]uint64{1 << uint(width)}, width) },
+				func(w *Writer) { w.WriteLimbsWidth([]uint64{0, 1}, width) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("offset=%d width=%d: no overflow panic", offset, width)
+						}
+					}()
+					var w Writer
+					w.WriteUint(0, offset)
+					write(&w)
+				}()
+			}
+		}
+	}
+}
+
 func TestZeroWidthUint(t *testing.T) {
 	var w Writer
 	w.WriteUint(0, 0)
@@ -159,7 +302,7 @@ func TestBigIntWidthRoundTrip(t *testing.T) {
 		width := 1 + rng.Intn(200)
 		v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(width)))
 		var w Writer
-		w.WriteBigIntWidth(v, width)
+		writeBigWidthRef(&w, v, width)
 		if w.Len() != width {
 			t.Fatalf("width write emitted %d bits, want %d", w.Len(), width)
 		}
@@ -183,7 +326,7 @@ func TestWriteLimbsWidthMatchesBigIntWidth(t *testing.T) {
 			limbs = append(limbs, new(big.Int).Rsh(v, uint(64*i)).Uint64())
 		}
 		var ref, got Writer
-		ref.WriteBigIntWidth(v, width)
+		writeBigWidthRef(&ref, v, width)
 		got.WriteLimbsWidth(limbs, width)
 		if !got.String().Equal(ref.String()) {
 			t.Fatalf("width=%d v=%v: limbs %s != big.Int %s", width, v, got.String(), ref.String())
@@ -340,16 +483,6 @@ func TestBitOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	FromBits(1).Bit(5)
-}
-
-func TestWriteBigIntWidthTooNarrowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	var w Writer
-	w.WriteBigIntWidth(big.NewInt(255), 4)
 }
 
 func TestReadEliasDeltaCorrupt(t *testing.T) {

@@ -10,9 +10,7 @@ func EncodeParts(parts ...String) String {
 	var w Writer
 	for _, p := range parts {
 		w.WriteEliasGamma(uint64(p.Len()) + 1)
-		for i := 0; i < p.Len(); i++ {
-			w.WriteBit(p.Bit(i))
-		}
+		w.WriteBitString(p)
 	}
 	return w.String()
 }

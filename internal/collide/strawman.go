@@ -92,8 +92,8 @@ func DegreeSum() Strawman {
 // search shows it still cannot decide squares/triangles/diameter on
 // *arbitrary* graphs, which is exactly the boundary the paper draws.
 //
-// The sums accumulate in a stack-resident fixed-width limb accumulator
-// rather than big.Int, so batch sweeps over this strawman run with zero
+// The sums accumulate in the same fixed-width word accumulator as the
+// degeneracy protocol, so batch sweeps over this strawman run with zero
 // heap allocations per graph like the rest of the lineup.
 func PowerSums(k int) Strawman {
 	return Strawman{
@@ -108,10 +108,8 @@ func PowerSums(k int) Strawman {
 		Local: bufferedFunc(func(w *bits.Writer, n, id int, nbrs []int) {
 			w.WriteUint(uint64(len(nbrs)), bits.Width(n))
 			var acc numeric.PowerSumAccumulator
-			acc.Reset(k)
-			for _, x := range nbrs {
-				acc.Add(uint64(x))
-			}
+			acc.Reset(n, k)
+			acc.Add(nbrs...)
 			for q := 1; q <= k; q++ {
 				w.WriteLimbsWidth(acc.Sum(q), numeric.MaxPowerSumBits(n, q))
 			}

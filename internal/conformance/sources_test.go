@@ -39,6 +39,10 @@ var sourceFixtures = []struct {
 	{"gray-n6-window", engine.SourceSpec{Kind: "gray", N: 6, Lo: 100, Hi: 612}, true},
 	{"family-forest-n12", engine.SourceSpec{Kind: "family", Family: "forest", N: 12, Seed: 7, Count: 50}, false},
 	{"family-gnp-n9", engine.SourceSpec{Kind: "family", Family: "gnp", N: 9, P: 0.3, Seed: 11, Count: 40}, false},
+	// k-trees pin gen.KTree's RNG draw order, including k = 0, which still
+	// draws Intn(1) per vertex from its single empty clique.
+	{"family-ktree-n64-k3", engine.SourceSpec{Kind: "family", Family: "ktree", N: 64, K: 3, Seed: 13, Count: 20}, false},
+	{"family-ktree-n9-k0", engine.SourceSpec{Kind: "family", Family: "ktree", N: 9, K: 0, Seed: 17, Count: 10}, false},
 	// Explicit record bounds: the "file" splitter refuses to default
 	// lo = hi = 0 (that would mean disk I/O inside the planner), so only a
 	// bounded spec exercises the round-trip.

@@ -31,6 +31,9 @@ type NewtonDecoder struct{}
 
 // DecodeNeighborhood implements NeighborhoodDecoder.
 func (NewtonDecoder) DecodeNeighborhood(d int, sums []*big.Int, n int) ([]int, error) {
+	if d < 0 {
+		return nil, fmt.Errorf("core: negative degree %d", d)
+	}
 	if d > len(sums) {
 		return nil, fmt.Errorf("core: degree %d exceeds available sums %d", d, len(sums))
 	}
@@ -66,7 +69,10 @@ func (l *LookupDecoder) DecodeNeighborhood(d int, sums []*big.Int, n int) ([]int
 //	deg(v)           — ⌈log₂(n+1)⌉ bits
 //	Σ_{w∈N(v)} w^p   — ⌈log₂ n^{p+1}⌉ bits, for p = 1..K
 //
-// for a total of O(K² log n) bits (Lemma 2).
+// for a total of O(K² log n) bits (Lemma 2). It is an engine.BufferedLocal:
+// the sums accumulate in machine words (numeric.PowerSumAccumulator), so the
+// local phase of a batch run allocates nothing; math/big appears only in
+// the referee.
 type DegeneracyProtocol struct {
 	K       int
 	Decoder NeighborhoodDecoder // nil means NewtonDecoder{}
@@ -95,15 +101,24 @@ func (p *DegeneracyProtocol) MessageBits(n int) int {
 
 // LocalMessage implements Algorithm 3 (the local function Γˡₙ).
 func (p *DegeneracyProtocol) LocalMessage(n, id int, nbrs []int) bits.String {
-	w := bits.Width(n)
 	var out bits.Writer
+	p.AppendLocalMessage(&out, n, id, nbrs)
+	return out.String()
+}
+
+// AppendLocalMessage implements engine.BufferedLocal: the same message,
+// with the power sums in fixed-width words, written into a caller-owned
+// writer so batch runs allocate nothing.
+func (p *DegeneracyProtocol) AppendLocalMessage(out *bits.Writer, n, id int, nbrs []int) {
+	w := bits.Width(n)
 	out.WriteUint(uint64(id), w)
 	out.WriteUint(uint64(len(nbrs)), w)
-	sums := numeric.PowerSums(nbrs, p.K)
+	var acc numeric.PowerSumAccumulator
+	acc.Reset(n, p.K)
+	acc.Add(nbrs...)
 	for q := 1; q <= p.K; q++ {
-		out.WriteBigIntWidth(sums[q-1], numeric.MaxPowerSumBits(n, q))
+		out.WriteLimbsWidth(acc.Sum(q), numeric.MaxPowerSumBits(n, q))
 	}
-	return out.String()
 }
 
 // vertexRecord is the referee's mutable copy of one message during pruning.
@@ -264,5 +279,6 @@ func (p *DegeneracyProtocol) Recognize(n int, msgs []bits.String) (bool, error) 
 // Interface conformance.
 var (
 	_ engine.Reconstructor = (*DegeneracyProtocol)(nil)
+	_ engine.BufferedLocal = (*DegeneracyProtocol)(nil)
 	_ engine.Named         = (*DegeneracyProtocol)(nil)
 )

@@ -104,3 +104,33 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _ = bits.DecodeParts(w.String(), count)
 	})
 }
+
+// FuzzGeneralizedReconstruct is FuzzDegeneracyReconstruct for the
+// generalized referee, whose parse must reject a degree outside [0, n)
+// before the co-degree it implies reaches the decoder.
+func FuzzGeneralizedReconstruct(f *testing.F) {
+	const n, k = 6, 1
+	p := &GeneralizedDegeneracyProtocol{K: k}
+	g := gen.KTree(gen.NewRand(3), n, k)
+	tr := engine.LocalPhase(g, p, engine.Serial{})
+	var seed []byte
+	for _, m := range tr.Messages {
+		seed = append(seed, m.Bytes()...)
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0x00, 0xde, 0xad, 0xbe, 0xef})
+	msgBits := p.MessageBits(n)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msgs := bytesToMessages(data, n, msgBits)
+		h, err := p.Reconstruct(n, msgs) // must not panic
+		if err == nil {
+			reenc := engine.LocalPhase(h, p, engine.Serial{})
+			for i := range msgs {
+				if !msgs[i].Equal(reenc.Messages[i]) {
+					t.Fatal("accepted a non-codeword")
+				}
+			}
+		}
+	})
+}

@@ -49,35 +49,32 @@ func (p *GeneralizedDegeneracyProtocol) MessageBits(n int) int {
 
 // LocalMessage encodes (ID, deg, b(v), b̄(v)) at fixed public widths.
 func (p *GeneralizedDegeneracyProtocol) LocalMessage(n, id int, nbrs []int) bits.String {
-	w := bits.Width(n)
 	var out bits.Writer
-	out.WriteUint(uint64(id), w)
-	out.WriteUint(uint64(len(nbrs)), w)
-	sums := numeric.PowerSums(nbrs, p.K)
-	co := coNeighborhood(n, id, nbrs)
-	coSums := numeric.PowerSums(co, p.K)
-	for q := 1; q <= p.K; q++ {
-		width := numeric.MaxPowerSumBits(n, q)
-		out.WriteBigIntWidth(sums[q-1], width)
-		out.WriteBigIntWidth(coSums[q-1], width)
-	}
+	p.AppendLocalMessage(&out, n, id, nbrs)
 	return out.String()
 }
 
-// coNeighborhood lists {1..n} \ N(v) \ {v} — computable locally since every
-// node knows n.
-func coNeighborhood(n, id int, nbrs []int) []int {
-	isNbr := make([]bool, n+1)
-	for _, x := range nbrs {
-		isNbr[x] = true
-	}
-	out := make([]int, 0, n-1-len(nbrs))
+// AppendLocalMessage implements engine.BufferedLocal. The co-neighborhood
+// {1..n} \ N(v) \ {v} is computable locally since every node knows n; its
+// sums are those of 1..n with v and N(v) removed again, so no set is built.
+func (p *GeneralizedDegeneracyProtocol) AppendLocalMessage(out *bits.Writer, n, id int, nbrs []int) {
+	w := bits.Width(n)
+	out.WriteUint(uint64(id), w)
+	out.WriteUint(uint64(len(nbrs)), w)
+	var acc, co numeric.PowerSumAccumulator
+	acc.Reset(n, p.K)
+	co.Reset(n, p.K)
 	for x := 1; x <= n; x++ {
-		if x != id && !isNbr[x] {
-			out = append(out, x)
-		}
+		co.Add(x)
 	}
-	return out
+	co.Remove(id)
+	co.Remove(nbrs...)
+	acc.Add(nbrs...)
+	for q := 1; q <= p.K; q++ {
+		width := numeric.MaxPowerSumBits(n, q)
+		out.WriteLimbsWidth(acc.Sum(q), width)
+		out.WriteLimbsWidth(co.Sum(q), width)
+	}
 }
 
 type generalizedRecord struct {
@@ -109,6 +106,9 @@ func (p *GeneralizedDegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (
 		deg64, err := r.ReadUint(w)
 		if err != nil {
 			return nil, fmt.Errorf("core: message %d: %w", i+1, err)
+		}
+		if deg64 >= uint64(n) {
+			return nil, fmt.Errorf("core: message %d: degree %d out of range", i+1, deg64)
 		}
 		rec := &generalizedRecord{id: i + 1, deg: int(deg64), sums: make([]*big.Int, p.K), coSums: make([]*big.Int, p.K)}
 		for q := 1; q <= p.K; q++ {
@@ -229,5 +229,6 @@ func (p *GeneralizedDegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (
 
 var (
 	_ engine.Reconstructor = (*GeneralizedDegeneracyProtocol)(nil)
+	_ engine.BufferedLocal = (*GeneralizedDegeneracyProtocol)(nil)
 	_ engine.Named         = (*GeneralizedDegeneracyProtocol)(nil)
 )

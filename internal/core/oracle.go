@@ -37,16 +37,17 @@ func (o *OracleDecider) LocalMessage(n, id int, nbrs []int) bits.String {
 }
 
 // AppendLocalMessage implements engine.BufferedLocal: a single merge walk
-// over the (ascending) neighbor list, no scratch.
+// over the (ascending) neighbor list, no scratch, writing the row 64
+// columns per word.
 func (o *OracleDecider) AppendLocalMessage(w *bits.Writer, n, id int, nbrs []int) {
 	i := 0
-	for j := 1; j <= n; j++ {
-		if i < len(nbrs) && nbrs[i] == j {
-			w.WriteBit(1)
-			i++
-		} else {
-			w.WriteBit(0)
+	for lo := 1; lo <= n; lo += 64 {
+		width := min(64, n-lo+1)
+		var row uint64
+		for ; i < len(nbrs) && nbrs[i] < lo+width; i++ {
+			row |= 1 << uint(lo+width-1-nbrs[i])
 		}
+		w.WriteUint(row, width)
 	}
 }
 

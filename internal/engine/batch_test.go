@@ -241,3 +241,31 @@ func TestBatchSerialAllocFree(t *testing.T) {
 		t.Errorf("steady-state batch run allocated %.1f objects, want 0", allocs)
 	}
 }
+
+// Theorem 5's local phase allocates nothing either: the degeneracy and
+// generalized protocols are BufferedLocal, with power sums in machine words,
+// so a pre-sized serial batch over 64-vertex 3-trees runs at 0 allocs per
+// graph. The same corpus must also account exactly as the plain path does.
+func TestBatchDegeneracyAllocFree(t *testing.T) {
+	rng := gen.NewRand(21)
+	graphs := make([]*graph.Graph, 16)
+	for i := range graphs {
+		graphs[i] = gen.KTree(rng, 64, 3)
+	}
+	for _, p := range []engine.Local{&core.DegeneracyProtocol{K: 3}, &core.GeneralizedDegeneracyProtocol{K: 3}} {
+		b := engine.NewBatch(p, engine.BatchOptions{Workers: 1, MaxN: 64})
+		src := engine.NewSliceSource(graphs)
+		var st engine.BatchStats
+		allocs := testing.AllocsPerRun(10, func() {
+			src.Reset()
+			st = b.Run(src)
+		})
+		b.Close()
+		if perGraph := allocs / float64(len(graphs)); perGraph != 0 {
+			t.Errorf("%T: batch run allocated %.2f objects per graph, want 0", p, perGraph)
+		}
+		if want := expectedStats(p, graphs); st != want {
+			t.Errorf("%T: stats %+v, want %+v", p, st, want)
+		}
+	}
+}

@@ -21,8 +21,11 @@ func KTree(rng *rand.Rand, n, k int) *graph.Graph {
 	for i := range order {
 		order[i]++
 	}
-	// cliques holds k-cliques available for attachment.
-	var cliques [][]int
+	// cliques holds the k-cliques available for attachment, k IDs each, back
+	// to back: the k+1 faces of the base clique, then k per attached vertex.
+	// Clique c is cliques[c*k : c*k+k]; there are count of them even when
+	// k = 0, where the one empty clique is drawn with Intn(1) per vertex.
+	cliques := make([]int, 0, ((k+1)+(n-k-1)*k)*k)
 	base := order[:k+1]
 	for i := 0; i < k+1; i++ {
 		for j := i + 1; j < k+1; j++ {
@@ -30,30 +33,29 @@ func KTree(rng *rand.Rand, n, k int) *graph.Graph {
 		}
 	}
 	for i := 0; i < k+1; i++ {
-		cl := make([]int, 0, k)
 		for j := 0; j < k+1; j++ {
 			if j != i {
-				cl = append(cl, base[j])
+				cliques = append(cliques, base[j])
 			}
 		}
-		cliques = append(cliques, cl)
 	}
+	count := k + 1
 	for _, v := range order[k+1:] {
-		cl := cliques[rng.Intn(len(cliques))]
+		c := rng.Intn(count)
+		cl := cliques[c*k : c*k+k]
 		for _, u := range cl {
 			g.AddEdge(v, u)
 		}
 		// New k-cliques: v together with each (k-1)-subset of cl.
 		for drop := 0; drop < k; drop++ {
-			ncl := make([]int, 0, k)
-			ncl = append(ncl, v)
+			cliques = append(cliques, v)
 			for j, u := range cl {
 				if j != drop {
-					ncl = append(ncl, u)
+					cliques = append(cliques, u)
 				}
 			}
-			cliques = append(cliques, ncl)
 		}
+		count += k
 	}
 	return g
 }

@@ -49,37 +49,6 @@ func TestPowerSumsMatchVandermonde(t *testing.T) {
 	}
 }
 
-func TestPowerSumsU64MatchesBig(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(100)
-		k := 1 + rng.Intn(3)
-		var ids []int
-		for i := 1; i <= n; i++ {
-			if rng.Intn(3) == 0 {
-				ids = append(ids, i)
-			}
-		}
-		u, ok := PowerSumsU64(ids, k)
-		if !ok {
-			t.Fatalf("unexpected overflow for n=%d k=%d", n, k)
-		}
-		b := PowerSums(ids, k)
-		for p := 0; p < k; p++ {
-			if new(big.Int).SetUint64(u[p]).Cmp(b[p]) != 0 {
-				t.Fatalf("p=%d: %d != %v", p+1, u[p], b[p])
-			}
-		}
-	}
-}
-
-func TestPowerSumsU64Overflow(t *testing.T) {
-	// 2^32 cubed overflows uint64.
-	if _, ok := PowerSumsU64([]int{1 << 32}, 3); ok {
-		t.Error("expected overflow to be reported")
-	}
-}
-
 func TestMaxPowerSumBits(t *testing.T) {
 	// All subsets of {1..10}: S_2 ≤ 1+4+...+100 = 385 < 10*100=1000; bound is
 	// bitlen(1000) = 10 bits.

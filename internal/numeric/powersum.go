@@ -1,8 +1,14 @@
-// Package numeric provides the exact arithmetic behind the paper's
-// degeneracy protocol: power sums of vertex identifiers (the vector
-// b(x) = A(k,n)·x of Algorithm 3), their inversion via Newton's identities
-// (Wright's theorem guarantees uniqueness), the O(n^k) look-up table decoder
-// of Lemma 3, prime fields, and small combinatorial helpers.
+// Package numeric provides the arithmetic behind the paper's degeneracy
+// protocol: power sums of vertex identifiers (the vector b(x) = A(k,n)·x of
+// Algorithm 3), their inversion via Newton's identities (Wright's theorem
+// guarantees uniqueness), the O(n^k) look-up table decoder of Lemma 3, prime
+// fields, and small combinatorial helpers.
+//
+// The local phase is fixed-width machine words: PowerSumAccumulator sizes
+// its sums from the public MaxPowerSumBits(n, k), so a node's message costs
+// word multiplies, and no allocation at the (n, k) of every sweep and bench
+// workload. math/big remains only on the referee's side (PowerSums,
+// RecoverSet, Lookup).
 package numeric
 
 import (
@@ -11,9 +17,10 @@ import (
 	mathbits "math/bits"
 )
 
-// PowerSums returns the vector (S_1, ..., S_k) with S_p = Σ_{x∈ids} x^p,
-// exactly (arbitrary precision). ids need not be sorted; duplicates are the
-// caller's bug and are not detected here.
+// PowerSums returns the vector (S_1, ..., S_k) with S_p = Σ_{x∈ids} x^p as
+// big integers, the referee-side form that Newton's identities consume. ids
+// need not be sorted; duplicates are the caller's bug and are not detected
+// here.
 func PowerSums(ids []int, k int) []*big.Int {
 	sums := make([]*big.Int, k)
 	for p := range sums {
@@ -30,44 +37,6 @@ func PowerSums(ids []int, k int) []*big.Int {
 		}
 	}
 	return sums
-}
-
-// PowerSumsU64 is the overflow-checked fast path: it returns the power sums
-// as uint64 values and ok=false when any intermediate would overflow.
-// Useful when (k+1)·log2(n+1) ≤ 63, the common case for moderate n and k.
-func PowerSumsU64(ids []int, k int) (sums []uint64, ok bool) {
-	sums = make([]uint64, k)
-	for _, id := range ids {
-		pow := uint64(1)
-		for p := 0; p < k; p++ {
-			hi, lo := mul64(pow, uint64(id))
-			if hi != 0 {
-				return nil, false
-			}
-			pow = lo
-			s := sums[p] + pow
-			if s < sums[p] {
-				return nil, false
-			}
-			sums[p] = s
-		}
-	}
-	return sums, true
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aHi, aLo := a>>32, a&mask
-	bHi, bLo := b>>32, b&mask
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	tLo, tHi := t&mask, t>>32
-	t = aLo*bHi + tLo
-	lo |= t << 32
-	hi = aHi*bHi + tHi + t>>32
-	return hi, lo
 }
 
 // VandermondeRow returns the p-th row (1-based) of the matrix A(k,n) of
