@@ -779,46 +779,70 @@ func BenchmarkSweepCanonVsGray(b *testing.B) {
 }
 
 // BenchmarkSweepCanonVector marries the two planes: the 12,346 n = 8 class
-// representatives pulled as gather-filled lane blocks through the weighted
+// representatives pulled as table-filled lane blocks through the weighted
 // per-lane fold (vector) versus the scalar Next/Weight loop over the same
 // table (scalar). Both reconstitute all 2^28 labelled graphs; the ns/class
 // metric is per class representative actually evaluated. The /scalar and
 // /vector name suffixes let cmd/benchreport pair the modes and attach a
-// Welch t-test to the speedup.
+// Welch t-test to the speedup. The n=8-window rows run the vector path over
+// classes [total/4+1, total/2+3), whose blocks all start off a 64-class
+// boundary, so every fill is a funnel shift of two table chunks. Vector
+// rows must not allocate.
 func BenchmarkSweepCanonVector(b *testing.B) {
 	const n = 8
-	total, err := canon.ClassCount(n)
+	classes, err := canon.Classes(n)
 	if err != nil {
 		b.Fatal(err)
 	}
+	total := uint64(len(classes))
+	windowLo, windowHi := total/4+1, total/2+3
+	var windowGraphs uint64
+	for _, c := range classes[windowLo:windowHi] {
+		windowGraphs += c.Weight
+	}
 	for _, proto := range []string{"oracle-diam3", "oracle-conn", "oracle-forest"} {
-		for _, mode := range []string{"scalar", "vector"} {
-			b.Run(fmt.Sprintf("%s/n=8/%s", proto, mode), func(b *testing.B) {
+		for _, row := range []struct {
+			name, mode     string
+			lo, hi, graphs uint64
+		}{
+			{"n=8", "scalar", 0, 0, 1 << 28},
+			{"n=8", "vector", 0, 0, 1 << 28},
+			{"n=8-window", "vector", windowLo, windowHi, windowGraphs},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/%s", proto, row.name, row.mode), func(b *testing.B) {
 				p, ok := engine.New(proto, engine.Config{N: n})
 				if !ok {
 					b.Fatalf("%s not registered", proto)
 				}
 				bt := engine.NewBatch(p, engine.BatchOptions{
-					Workers: 1, Decide: true, MaxN: n, NoVector: mode == "scalar",
+					Workers: 1, Decide: true, MaxN: n, NoVector: row.mode == "scalar",
 				})
 				defer bt.Close()
-				if mode == "vector" && !bt.Vectorized() {
+				if row.mode == "vector" && !bt.Vectorized() {
 					b.Fatalf("%s did not engage the vector path", proto)
 				}
-				src, err := canon.NewClassSource(n, 0, 0)
+				src, err := canon.NewClassSource(n, row.lo, row.hi)
 				if err != nil {
 					b.Fatal(err)
 				}
-				bt.Run(src) // warm the scratch
+				run := func() {
+					src.Reset()
+					if st := bt.Run(src); st.Graphs != row.graphs {
+						b.Fatalf("reconstituted %d labelled graphs, want %d", st.Graphs, row.graphs)
+					}
+				}
+				run() // warm the scratch
+				if row.mode == "vector" {
+					if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+						b.Fatalf("vector run allocates %.0f times, want 0", allocs)
+					}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					src.Reset()
-					if st := bt.Run(src); st.Graphs != 1<<28 {
-						b.Fatalf("reconstituted %d labelled graphs, want 2^28", st.Graphs)
-					}
+					run()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/class")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Len()), "ns/class")
 			})
 		}
 	}

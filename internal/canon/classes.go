@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"refereenet/internal/lanes"
 )
 
 // Class is one isomorphism class of n-vertex graphs: its canonical
@@ -20,14 +22,47 @@ type Class struct {
 // The class tables are deterministic pure functions of n, but expensive to
 // build (the n = 9 table canonizes 605,107 candidate graphs), and a serve
 // daemon resolves one "canon" spec per unit — so each table is built once
-// per process, cached, and shared read-only: every ClassSource slices the
-// cached []Class in place, so opening a source costs O(1) whatever the
+// per process, cached, and shared read-only: every ClassSource reads the
+// cached level in place, so opening a source costs O(1) whatever the
 // table's size. Levels build on each other (every n-vertex graph is an
 // (n-1)-vertex graph plus one vertex), so computing Classes(9) caches 1..8
 // along the way.
 var classCache struct {
 	sync.Mutex
-	levels map[int][]Class
+	levels map[int]*classLevel
+}
+
+// classLevel is one cached class table in the form the block path reads:
+// the representatives' masks transposed into lane chunks, so a source fills
+// a block by copying lane words, and their orbit weights n!/|Aut| as uint32
+// (at most MaxN! = 10! < 2^32). At n = 9 that is 1.2 MB of lane words and
+// 1.1 MB of weights, against 4.4 MB as []Class. A []Class exists only as the
+// copy Classes returns and as extendLevel's working input.
+type classLevel struct {
+	masks   lanes.MaskTable
+	weights []uint32
+}
+
+func newClassLevel(n int, classes []Class) *classLevel {
+	masks := make([]uint64, len(classes))
+	weights := make([]uint32, len(classes))
+	for i, c := range classes {
+		masks[i], weights[i] = c.Mask, uint32(c.Weight)
+	}
+	return &classLevel{masks: lanes.NewMaskTable(n, masks), weights: weights}
+}
+
+// classes untransposes the level into a fresh []Class.
+func (l *classLevel) classes() []Class {
+	out := make([]Class, len(l.weights))
+	var rows [lanes.Lanes]uint64
+	for i := range out {
+		if i%lanes.Lanes == 0 {
+			l.masks.Chunk(i/lanes.Lanes, &rows)
+		}
+		out[i] = Class{Mask: rows[i%lanes.Lanes], Weight: uint64(l.weights[i])}
+	}
+	return out
 }
 
 // Classes returns the class table for n: one canonical representative per
@@ -35,14 +70,14 @@ var classCache struct {
 // canonical mask, each carrying its labelled-orbit weight. The ascending
 // mask order is the class-index order of the "canon" source kind — it must
 // never change, or every canon plan fingerprint and manifest would strand.
-// The returned slice is a copy the caller owns; sources use the shared
+// The returned slice is a copy the caller owns; sources read the shared
 // cached table instead.
 func Classes(n int) ([]Class, error) {
 	table, err := classTable(n)
 	if err != nil {
 		return nil, err
 	}
-	return append([]Class(nil), table...), nil
+	return table.classes(), nil
 }
 
 // ClassCount returns the number of isomorphism classes of n-vertex graphs —
@@ -52,28 +87,38 @@ func ClassCount(n int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint64(len(table)), nil
+	return uint64(len(table.weights)), nil
 }
 
 // classTable returns the cached n-vertex table, building it (and every
-// smaller level) on first use. The slice is shared by every caller and must
+// smaller level) on first use. The level is shared by every caller and must
 // never be written to.
-func classTable(n int) ([]Class, error) {
+func classTable(n int) (*classLevel, error) {
 	if n < 0 || n > MaxN {
 		return nil, fmt.Errorf("canon: n=%d outside class-table range [0,%d]", n, MaxN)
 	}
 	classCache.Lock()
 	defer classCache.Unlock()
 	if classCache.levels == nil {
-		classCache.levels = map[int][]Class{
-			0: {{Mask: 0, Weight: 1}},
-			1: {{Mask: 0, Weight: 1}},
+		trivial := []Class{{Mask: 0, Weight: 1}}
+		classCache.levels = map[int]*classLevel{
+			0: newClassLevel(0, trivial),
+			1: newClassLevel(1, trivial),
 		}
 	}
+	// prev carries the level just built into the next extension, so a cold
+	// build untransposes at most its one cached starting level.
+	var prev []Class
 	for m := 2; m <= n; m++ {
-		if _, ok := classCache.levels[m]; !ok {
-			classCache.levels[m], _ = extendLevel(m, classCache.levels[m-1])
+		if _, ok := classCache.levels[m]; ok {
+			prev = nil
+			continue
 		}
+		if prev == nil {
+			prev = classCache.levels[m-1].classes()
+		}
+		prev, _ = extendLevel(m, prev)
+		classCache.levels[m] = newClassLevel(m, prev)
 	}
 	return classCache.levels[n], nil
 }

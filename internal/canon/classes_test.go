@@ -12,9 +12,9 @@ import (
 
 var sourceSink *ClassSource
 
-// TestClassSourceOpenDoesNotCopyTable pins that opening a source slices the
-// shared cached table instead of copying it: once the n = 8 table (12,346
-// classes, ~197 KB) is built, an open allocates only the ClassSource itself,
+// TestClassSourceOpenDoesNotCopyTable pins that opening a source reads the
+// shared cached table in place instead of copying it: once the n = 8 table
+// (12,346 classes) is built, an open allocates only the ClassSource itself,
 // whatever window it covers.
 func TestClassSourceOpenDoesNotCopyTable(t *testing.T) {
 	if _, err := ClassCount(8); err != nil {
@@ -166,7 +166,7 @@ func TestClassTableDigest(t *testing.T) {
 func BenchmarkExtendLevel(b *testing.B) {
 	for _, m := range []int{8, 9} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			prev, err := classTable(m - 1)
+			prev, err := Classes(m - 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,9 @@
 package canon_test
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"refereenet/internal/canon"
@@ -122,6 +124,31 @@ func TestCanonSweepN8(t *testing.T) {
 		}
 		if want := tc.oeis[n]; canonStats.Accepted != want {
 			t.Errorf("%s n=8: accepted %d, OEIS says %d", tc.protocol, canonStats.Accepted, want)
+		}
+	}
+}
+
+// TestCanonSplitterDeclinesOutOfRange: a class range that runs past the
+// table's end must not split, like a lo > hi range, so a `serve -parallel`
+// executor reports the resolution error once, naming the range the plan
+// holds rather than one of its sub-ranges.
+func TestCanonSplitterDeclinesOutOfRange(t *testing.T) {
+	const n = 6
+	total, err := canon.ClassCount(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ lo, hi uint64 }{{10, total + 1}, {0, total + 1}, {20, 10}} {
+		spec := shardFor("oracle-conn", n)
+		spec.Source = engine.SourceSpec{Kind: "canon", N: n, Lo: r.lo, Hi: r.hi}
+		if subs := engine.SplitShard(spec, 2); len(subs) != 1 || subs[0] != spec {
+			t.Errorf("[%d,%d): split into %+v, want the unsplit original", r.lo, r.hi, subs)
+		}
+		pool := sweep.NewExecutor(2)
+		res := pool.Execute(sweep.Unit{ID: 1, Spec: spec})
+		pool.Close()
+		if want := fmt.Sprintf("[%d,%d)", r.lo, r.hi); !strings.Contains(res.Err, want) {
+			t.Errorf("[%d,%d): executor error %q does not name %s", r.lo, r.hi, res.Err, want)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestCanonVectorMatchesScalar(t *testing.T) {
 // TestCanonVectorSteadyStateAllocs pins the weighted-vector hot path at
 // zero allocations per run once batch and source exist: Reset rewinds the
 // class cursor without touching the toggle state, the block and weight
-// scratch live in the batch, and FillMasks gathers on the stack.
+// scratch live in the batch, and FillTable copies from the cached table.
 func TestCanonVectorSteadyStateAllocs(t *testing.T) {
 	p, ok := engine.New("oracle-conn", engine.Config{N: 7})
 	if !ok {

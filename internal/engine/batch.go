@@ -52,13 +52,13 @@ type BlockSource interface {
 
 // WeightedBlockSource is implemented by Weighted sources that can also
 // serve their stream as lanes.Blocks — the isomorphism-quotient plane,
-// whose class representatives are not Gray-adjacent and therefore gather
-// into blocks via lanes.Block.FillMasks. Weights fills w with the orbit
-// weight of each slot of the block most recently served by NextBlock
-// (dead-lane slots are zero); like the scalar Next/Weight pair, the
-// NextBlock/Weights pair is stateful and runs on one goroutine. The batch
-// fold scales each live lane of the kernel's per-lane result by its own
-// weight.
+// whose class representatives are not Gray-adjacent and are kept
+// pre-transposed, so blocks load via lanes.Block.FillTable. Weights fills
+// w with the orbit weight of each slot of the block most recently served
+// by NextBlock (dead-lane slots are zero); like the scalar Next/Weight
+// pair, the NextBlock/Weights pair is stateful and runs on one goroutine.
+// The batch fold scales each live lane of the kernel's per-lane result by
+// its own weight.
 type WeightedBlockSource interface {
 	BlockSource
 	Weighted
@@ -440,9 +440,23 @@ func (b *Batch) runBlocks(src BlockSource, ws WeightedBlockSource, st *BatchStat
 // Accepted and Rejected) accumulate the weights of the live (accepting)
 // lanes; MaxBits and MaxN are per-graph maxima and stay unweighted. A nil
 // w weighs every lane 1, so the sums are popcounts — no walk over the live
-// bits on unweighted streams, whose kernels may cost O(1) per block.
+// bits on unweighted streams, whose kernels may cost O(1) per block. A
+// weighted block sums both counts in one branchless pass over its 64
+// weights, each masked in by its lane's live and accept bits.
 func (s *BatchStats) foldBlock(o *lanes.BlockStats, w *[lanes.Lanes]uint64) {
-	graphs := weigh(o.Live, w)
+	var graphs, acc uint64
+	if w == nil {
+		graphs = uint64(mathbits.OnesCount64(o.Live))
+		acc = uint64(mathbits.OnesCount64(o.Accept))
+	} else {
+		live, accept := o.Live, o.Accept
+		for _, x := range w {
+			graphs += x & -(live & 1)
+			acc += x & -(accept & 1)
+			live >>= 1
+			accept >>= 1
+		}
+	}
 	s.Graphs += graphs
 	s.TotalBits += graphs * o.GraphBits
 	if o.MaxBits > s.MaxBits {
@@ -452,22 +466,9 @@ func (s *BatchStats) foldBlock(o *lanes.BlockStats, w *[lanes.Lanes]uint64) {
 		s.MaxN = o.MaxN
 	}
 	if o.Decided {
-		acc := weigh(o.Accept, w)
 		s.Accepted += acc
 		s.Rejected += graphs - acc
 	}
-}
-
-// weigh sums the weights of mask's lanes; a nil w weighs each lane 1.
-func weigh(mask uint64, w *[lanes.Lanes]uint64) uint64 {
-	if w == nil {
-		return uint64(mathbits.OnesCount64(mask))
-	}
-	var sum uint64
-	for ; mask != 0; mask &= mask - 1 {
-		sum += w[mathbits.TrailingZeros64(mask)]
-	}
-	return sum
 }
 
 // runGraphs is the per-graph loop. Each graph's messages land in msgs

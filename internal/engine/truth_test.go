@@ -146,39 +146,48 @@ func TestUndecidablePredicatesIndependentCounts(t *testing.T) {
 // labelled walk (2^36 graphs); it is the quotient column below.
 var diam3Quotient = [9]uint64{1, 1, 4, 38, 668, 23464, 1641976, 226418312, 61417339232}
 
+// quotientBrute sums the orbit weights n!/|Aut| of the n-vertex classes
+// whose representative has the property, decided on the representative's
+// adjacency matrix. Only the mask-to-pair order comes from internal/graph
+// (a representative's mask is only meaningful in that order).
+func quotientBrute(t *testing.T, n int, has func(adj [][]bool) bool) uint64 {
+	t.Helper()
+	classes, err := canon.Classes(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := make([][]bool, n)
+	for i := range adj {
+		adj[i] = make([]bool, n)
+	}
+	var sum uint64
+	for _, c := range classes {
+		for e := 0; e < n*(n-1)/2; e++ {
+			u, v := graph.EdgePair(n, e)
+			on := c.Mask>>uint(e)&1 == 1
+			adj[u-1][v-1], adj[v-1][u-1] = on, on
+		}
+		if has(adj) {
+			sum += c.Weight
+		}
+	}
+	return sum
+}
+
 // TestDiameterQuotientIndependentCounts checks diameter ≤ 3 through the
 // isomorphism quotient up to n = 9 (n = 8 under -short): one brute-force
 // BFS per class representative, weighted by its orbit size, must sum to
-// the weighted vector sweep of oracle-diam3 over the same class table. Only
-// the mask-to-pair order comes from internal/graph (a representative's
-// mask is only meaningful in that order); the verdict is diamAtMost3Brute.
+// the weighted vector sweep of oracle-diam3 over the same class table. The
+// verdict is diamAtMost3Brute.
 func TestDiameterQuotientIndependentCounts(t *testing.T) {
 	top := 9
 	if testing.Short() {
 		top = 8
 	}
 	for n := 1; n <= top; n++ {
-		classes, err := canon.Classes(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adj := make([][]bool, n)
-		for i := range adj {
-			adj[i] = make([]bool, n)
-		}
-		var brute uint64
-		for _, c := range classes {
-			for e := 0; e < n*(n-1)/2; e++ {
-				u, v := graph.EdgePair(n, e)
-				on := c.Mask>>uint(e)&1 == 1
-				adj[u-1][v-1], adj[v-1][u-1] = on, on
-			}
-			if diamAtMost3Brute(adj) {
-				brute += c.Weight
-			}
-		}
+		brute := quotientBrute(t, n, diamAtMost3Brute)
 		if want := diam3Quotient[n-1]; brute != want {
-			t.Errorf("n=%d: brute force over %d classes counts %d, want %d", n, len(classes), brute, want)
+			t.Errorf("n=%d: brute force over the classes counts %d, want %d", n, brute, want)
 		}
 
 		p, ok := engine.New("oracle-diam3", engine.Config{N: n})
@@ -197,6 +206,117 @@ func TestDiameterQuotientIndependentCounts(t *testing.T) {
 		b.Close()
 		if total := uint64(1) << uint(n*(n-1)/2); st.Graphs != total || st.Accepted != brute || st.Rejected != total-brute {
 			t.Errorf("n=%d: weighted vector sweep %+v, want %d of %d accepted", n, st, brute, total)
+		}
+	}
+}
+
+// connectedBrute: a BFS from vertex 0 reaches every vertex.
+func connectedBrute(adj [][]bool) bool {
+	n := len(adj)
+	seen := make([]bool, n)
+	seen[0] = true
+	stack, reached := []int{0}, 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for v := 0; v < n; v++ {
+			if adj[u][v] && !seen[v] {
+				seen[v] = true
+				reached++
+				stack = append(stack, v)
+			}
+		}
+	}
+	return reached == n
+}
+
+// forestBrute: a graph is acyclic iff |E| = n − (number of components).
+func forestBrute(adj [][]bool) bool {
+	n := len(adj)
+	edges := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if adj[i][j] {
+				edges++
+			}
+		}
+	}
+	seen := make([]bool, n)
+	components := 0
+	for s := 0; s < n; s++ {
+		if seen[s] {
+			continue
+		}
+		components++
+		seen[s] = true
+		stack := []int{s}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for v := 0; v < n; v++ {
+				if adj[u][v] && !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
+	return edges == n-components
+}
+
+// TestConnectivityQuotientIndependentCounts adds canon-n9's two ops to the
+// quotient columns: at n = 9 (n = 8 under -short), connected graphs
+// (A001187: 66,296,291,072) and forests (A001858: 10,026,505) counted by a
+// brute-force verdict per class representative times its orbit weight must
+// equal the weighted vector sweep of oracle-conn and oracle-forest, cut by
+// engine.SplitRange into 7 units whose inner bounds are not multiples of 64
+// (so blocks load unaligned table windows) and summed over
+// engine.ExecuteShard.
+func TestConnectivityQuotientIndependentCounts(t *testing.T) {
+	n := 9
+	if testing.Short() {
+		n = 8
+	}
+	total, err := canon.ClassCount(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := engine.SplitRange(0, total, 7)
+	if len(units) != 7 {
+		t.Fatalf("n=%d: %d classes cut into %d units, want 7", n, total, len(units))
+	}
+	for _, u := range units[1:] {
+		if u[0]%64 == 0 {
+			t.Fatalf("n=%d: unit bound %d is a multiple of 64", n, u[0])
+		}
+	}
+	labelled := uint64(1) << uint(n*(n-1)/2)
+	for _, tc := range []struct {
+		protocol string
+		has      func(adj [][]bool) bool
+		want     map[int]uint64
+	}{
+		{"oracle-conn", connectedBrute, map[int]uint64{8: 251548592, 9: 66296291072}},
+		{"oracle-forest", forestBrute, map[int]uint64{8: 561948, 9: 10026505}},
+	} {
+		brute := quotientBrute(t, n, tc.has)
+		if brute != tc.want[n] {
+			t.Errorf("%s n=%d: brute force over the classes counts %d, want %d", tc.protocol, n, brute, tc.want[n])
+		}
+		var st engine.BatchStats
+		for _, u := range units {
+			got, err := engine.ExecuteShard(engine.ShardSpec{
+				Protocol: tc.protocol,
+				Decide:   true,
+				Source:   engine.SourceSpec{Kind: "canon", N: n, Lo: u[0], Hi: u[1]},
+			})
+			if err != nil {
+				t.Fatalf("%s n=%d [%d,%d): %v", tc.protocol, n, u[0], u[1], err)
+			}
+			st.Merge(got)
+		}
+		if st.Graphs != labelled || st.Accepted != brute || st.Rejected != labelled-brute || st.Errors != 0 {
+			t.Errorf("%s n=%d: weighted vector sweep %+v, want %d of %d accepted", tc.protocol, n, st, brute, labelled)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package lanes implements bitsliced ("SIMD within a register") evaluation
 // of labelled-graph protocols: up to 64 graphs — consecutive Gray-code
-// ranks (FillGray) or any explicit edge masks (FillMasks) — are stored
-// transposed, one uint64 per edge position, bit j of lane e meaning "edge e
-// is present in the block's j-th graph". Per-node degree counts, mod-k
-// residues, parity and subgraph predicates then become a handful of word
-// ops per edge lane instead of 64 scalar protocol runs. internal/engine
-// consumes blocks through its opt-in VectorLocal/BlockSource capability
-// pair: a Kernel reports one per-lane result (BlockStats) per block, and
-// the engine folds it, weighting each lane by 1 or by its orbit weight.
+// ranks (FillGray), any explicit edge masks (FillMasks) or a window of a
+// pre-transposed MaskTable (FillTable) — are stored transposed, one uint64
+// per edge position, bit j of lane e meaning "edge e is present in the
+// block's j-th graph". Per-node degree counts, mod-k residues, parity and
+// subgraph predicates then become a handful of word ops per edge lane
+// instead of 64 scalar protocol runs. internal/engine consumes blocks
+// through its opt-in VectorLocal/BlockSource capability pair: a Kernel
+// reports one per-lane result (BlockStats) per block, and the engine folds
+// it, weighting each lane by 1 or by its orbit weight.
 package lanes
 
 import (
@@ -127,11 +128,12 @@ func (b *Block) FillGray(n int, lo uint64, count int) {
 
 // FillMasks loads the block with len(masks) arbitrary edge-mask graphs on
 // n vertices — the gather fill for streams that are *not* Gray-adjacent
-// (isomorphism-class representatives, word-packed corpus records), where
-// FillGray's one-XOR-per-rank incremental walk does not apply. Slot j holds
-// masks[j]; dead lanes (len(masks) < 64) are zero in every lane and masked
-// out of LiveMask, the same ragged-tail guarantee FillGray gives. Lo
-// reports 0: gathered slots have no Gray rank.
+// (word-packed corpus records), where FillGray's one-XOR-per-rank
+// incremental walk does not apply. A mask list read many times over, such
+// as an isomorphism-class table, is better kept as a MaskTable and loaded
+// with FillTable. Slot j holds masks[j]; dead lanes (len(masks) < 64) are
+// zero in every lane and masked out of LiveMask, the same ragged-tail
+// guarantee FillGray gives. Lo reports 0: gathered slots have no Gray rank.
 //
 // The gather is a straight 64×64 bit-matrix transpose (~6·64 word ops per
 // block, ~6 per graph — same order as the suffix-XOR fill), not 64 per-bit

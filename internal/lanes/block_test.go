@@ -1,6 +1,7 @@
 package lanes
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -243,6 +244,87 @@ func TestFillMasksPanics(t *testing.T) {
 	expectPanic(t, "empty masks", func() { b.FillMasks(5, nil) })
 	expectPanic(t, "too many masks", func() { b.FillMasks(5, make([]uint64, Lanes+1)) })
 	expectPanic(t, "mask too wide", func() { b.FillMasks(5, []uint64{1 << 10}) }) // C(5,2)=10
+}
+
+// sameBlock fails unless a and b hold the same graphs: equal n, count, Lo,
+// live mask and every edge lane.
+func sameBlock(t *testing.T, what string, a, b *Block) {
+	t.Helper()
+	if a.N() != b.N() || a.Count() != b.Count() || a.Lo() != b.Lo() || a.LiveMask() != b.LiveMask() {
+		t.Fatalf("%s: block n=%d count=%d lo=%d live=%#x, want n=%d count=%d lo=%d live=%#x",
+			what, a.N(), a.Count(), a.Lo(), a.LiveMask(), b.N(), b.Count(), b.Lo(), b.LiveMask())
+	}
+	for e := 0; e < a.Edges(); e++ {
+		if a.EdgeLane(e) != b.EdgeLane(e) {
+			t.Fatalf("%s: lane %d = %#x, want %#x", what, e, a.EdgeLane(e), b.EdgeLane(e))
+		}
+	}
+}
+
+// TestFillTableMatchesFillMasks is the differential check of the table
+// fill: over a table of random masks, FillTable of any window must build
+// the block FillMasks builds from the same masks. Windows start at every
+// offset 0…63 of an inner chunk (so both the aligned copy and every funnel
+// shift run, with masks on both sides of the window that a missing live
+// mask would leak into dead lanes) with counts 1, 63 and 64, and every
+// window that ends at the ragged final chunk's last mask. Chunk must
+// untranspose each chunk back to its masks, zero past the table's end.
+func TestFillTableMatchesFillMasks(t *testing.T) {
+	var bt, bm Block
+	rng := rand.New(rand.NewSource(41))
+	const size = 4*Lanes + 37 // a ragged final chunk of 37 masks
+	for n := 1; n <= graph.MaxSmallN; n++ {
+		edges := uint(n * (n - 1) / 2)
+		masks := make([]uint64, size)
+		for j := range masks {
+			masks[j] = rng.Uint64()
+			if edges < 64 {
+				masks[j] &= 1<<edges - 1
+			}
+		}
+		table := NewMaskTable(n, masks)
+		check := func(lo, count int) {
+			bt.FillTable(&table, lo, count)
+			bm.FillMasks(n, masks[lo:lo+count])
+			sameBlock(t, fmt.Sprintf("n=%d window [%d,%d)", n, lo, lo+count), &bt, &bm)
+		}
+		for s := 0; s < Lanes; s++ {
+			for _, count := range []int{1, Lanes - 1, Lanes} {
+				check(Lanes+s, count)
+			}
+		}
+		for lo := size - Lanes; lo < size; lo++ {
+			check(lo, size-lo)
+		}
+		var rows [Lanes]uint64
+		for c := 0; c*Lanes < size; c++ {
+			table.Chunk(c, &rows)
+			for j, got := range rows {
+				want := uint64(0)
+				if i := c*Lanes + j; i < size {
+					want = masks[i]
+				}
+				if got != want {
+					t.Fatalf("n=%d chunk %d slot %d: untransposes to %#x, want %#x", n, c, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFillTablePanics pins the argument validation of the table fill and
+// of the table build.
+func TestFillTablePanics(t *testing.T) {
+	var b Block
+	table := NewMaskTable(5, make([]uint64, 100))
+	empty := NewMaskTable(0, []uint64{0})
+	expectPanic(t, "n=0 table", func() { b.FillTable(&empty, 0, 1) })
+	expectPanic(t, "count=0", func() { b.FillTable(&table, 0, 0) })
+	expectPanic(t, "count > 64", func() { b.FillTable(&table, 0, Lanes+1) })
+	expectPanic(t, "negative lo", func() { b.FillTable(&table, -1, 1) })
+	expectPanic(t, "window past the end", func() { b.FillTable(&table, 90, 11) })
+	expectPanic(t, "n too big", func() { NewMaskTable(graph.MaxSmallN+1, nil) })
+	expectPanic(t, "mask too wide", func() { NewMaskTable(5, []uint64{1 << 10}) })
 }
 
 // TestPerLaneViewConsistency pins the kernel constructors' one result, the

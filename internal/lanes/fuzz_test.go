@@ -13,6 +13,10 @@ import (
 //     lo % 64 == 0 and count == 64) equals a rebuild from scratch,
 //   - FillMasks over the same Gray-consecutive masks equals FillGray (the
 //     gather transpose is a generalization, not a different layout),
+//   - FillTable over a table of Gray-consecutive masks that starts lo%64
+//     masks before the window and runs up to 64 past it equals FillGray
+//     (same alignment within a chunk as lo, and masks on both sides of the
+//     window that must not leak into dead lanes),
 //   - ragged tail masks leak no bits from dead lanes, in the edge words or
 //     in any kernel output,
 //   - every kernel agrees with the scalar graph.Small reference on every
@@ -98,6 +102,29 @@ func FuzzLaneBlock(f *testing.F) {
 			if bm.EdgeLane(e) != b.EdgeLane(e) {
 				t.Fatalf("n=%d lo=%d count=%d: lane %d: gather %#x, gray %#x",
 					n, lo, count, e, bm.EdgeLane(e), b.EdgeLane(e))
+			}
+		}
+
+		// The table fill over a window of Gray-consecutive masks must rebuild
+		// it too.
+		pre := int(lo % Lanes)
+		post := int(min(total-lo-uint64(count), Lanes))
+		seq := make([]uint64, pre+count+post)
+		for i := range seq {
+			r := lo - uint64(pre) + uint64(i)
+			seq[i] = r ^ (r >> 1)
+		}
+		table := NewMaskTable(n, seq)
+		var bt Block
+		bt.FillTable(&table, pre, count)
+		if bt.LiveMask() != live || bt.Count() != count {
+			t.Fatalf("n=%d lo=%d count=%d: table fill live %#x count %d, gray live %#x",
+				n, lo, count, bt.LiveMask(), bt.Count(), live)
+		}
+		for e := 0; e < b.Edges(); e++ {
+			if bt.EdgeLane(e) != b.EdgeLane(e) {
+				t.Fatalf("n=%d lo=%d count=%d: lane %d: table fill %#x, gray %#x",
+					n, lo, count, e, bt.EdgeLane(e), b.EdgeLane(e))
 			}
 		}
 
