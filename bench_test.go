@@ -725,6 +725,47 @@ func BenchmarkCanonicalForm(b *testing.B) {
 	}
 }
 
+// BenchmarkCanonicalFormSymmetric canonizes the most symmetric n = 9 graphs,
+// where the search cost is set by automorphism pruning: a search that
+// visits every leaf pays at least |Aut| of them (9! for edgeless and
+// complete). Each sub-benchmark fails if |Aut| comes out wrong.
+func BenchmarkCanonicalFormSymmetric(b *testing.B) {
+	const n = 9
+	maskOf := func(adjacent func(u, v int) bool) uint64 {
+		var mask uint64
+		for u := 1; u <= n; u++ {
+			for v := u + 1; v <= n; v++ {
+				if adjacent(u, v) {
+					mask |= 1 << uint(graph.EdgeIndex(n, u, v))
+				}
+			}
+		}
+		return mask
+	}
+	for _, g := range []struct {
+		name string
+		mask uint64
+		aut  uint64
+	}{
+		{"edgeless", 0, 362880},
+		{"complete", maskOf(func(u, v int) bool { return true }), 362880},
+		{"K1,8", maskOf(func(u, v int) bool { return u == 1 }), 40320},
+		{"C9", maskOf(func(u, v int) bool { return v-u == 1 || v-u == n-1 }), 18},
+		{"K3,3,3", maskOf(func(u, v int) bool { return (u-1)/3 != (v-1)/3 }), 1296},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var r canon.Result
+			for i := 0; i < b.N; i++ {
+				r = canon.MustCanonical(n, g.mask)
+			}
+			if r.AutOrder != g.aut {
+				b.Fatalf("%s: |Aut| = %d, want %d", g.name, r.AutOrder, g.aut)
+			}
+		})
+	}
+}
+
 // BenchmarkSweepCanonVsGray is the quotient plane's headline number: the
 // canon side sweeps ALL 2^28 labelled n = 8 graphs by evaluating only the
 // 12,346 class representatives (weighted), while the gray side is charged a

@@ -10,6 +10,10 @@
 //	go run ./cmd/benchreport -bench 'Enumerate'   # narrower suite
 //	go run ./cmd/benchreport -benchtime 5x        # more iterations
 //	go run ./cmd/benchreport -dir perf            # keep baselines in ./perf
+//	go run ./cmd/benchreport -pkg .               # root package only
+//
+// Benchmarks outside the module's root package are named with their
+// package path, e.g. internal/canon.BenchmarkExtendLevel/m=9.
 package main
 
 import (
@@ -54,23 +58,28 @@ type Report struct {
 	Results   []Result `json:"results"`
 }
 
-const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassSourceOpen"
+const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkCanonicalFormSymmetric|BenchmarkExtendLevel|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassSourceOpen"
 
 // benchLine matches one line of `go test -bench -benchmem` output, e.g.
 // "BenchmarkEnumerate/n=6-8  370  3212515 ns/op  0 B/op  0 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// Custom metrics (b.ReportMetric) print between ns/op and B/op, so the
+// memory columns are matched on their own.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op`)
+	memCols   = regexp.MustCompile(`\s(\d+) B/op\s+(\d+) allocs/op`)
+)
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1s", "value passed to go test -benchtime (time-based by default: fixed-count runs like 1x are too noisy to compare)")
 	dir := flag.String("dir", ".", "directory holding BENCH_<date>.json baselines")
-	pkg := flag.String("pkg", ".", "package to benchmark")
+	pkgs := flag.String("pkg", ". ./internal/canon", "space-separated packages to benchmark")
 	dry := flag.Bool("n", false, "run and compare but do not write a new baseline")
 	force := flag.Bool("force", false, "overwrite an existing baseline for today")
 	count := flag.Int("count", 5, "repetitions per benchmark (go test -count); ≥ 2 enables Welch's t-test significance flags on the speedup ratios")
 	flag.Parse()
 
-	report, raw, err := runSuite(*bench, *benchtime, *pkg, *count)
+	report, raw, err := runSuite(*bench, *benchtime, strings.Fields(*pkgs), *count)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n%s", err, raw)
 		os.Exit(1)
@@ -105,15 +114,21 @@ func main() {
 // runSuite shells out to go test and parses the benchmark output. With
 // count > 1 every benchmark appears count times; the repeated lines fold
 // into one Result per name, samples preserved for the significance test.
-func runSuite(bench, benchtime, pkg string, count int) (*Report, string, error) {
+func runSuite(bench, benchtime string, pkgs []string, count int) (*Report, string, error) {
 	if count < 1 {
 		count = 1
 	}
+	mod, err := exec.Command("go", "list", "-m").Output()
+	if err != nil {
+		return nil, "", fmt.Errorf("go list -m: %w", err)
+	}
+	modPath := strings.TrimSpace(string(mod))
 	// The default suite at -count 5 outlasts go test's 10-minute default
-	// timeout on a 2-vCPU host, so the hang guard is set explicitly.
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", bench, "-timeout", "1h",
-		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
-	raw, err := cmd.CombinedOutput()
+	// timeout on a 2-vCPU host, so the hang guard is set explicitly. go test
+	// runs the packages' benchmarks one package at a time.
+	args := append([]string{"test", "-run", "^$", "-bench", bench, "-timeout", "1h",
+		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count)}, pkgs...)
+	raw, err := exec.Command("go", args...).CombinedOutput()
 	out := string(raw)
 	if err != nil {
 		return nil, out, fmt.Errorf("go test: %w", err)
@@ -127,10 +142,18 @@ func runSuite(bench, benchtime, pkg string, count int) (*Report, string, error) 
 		BenchTime: benchtime,
 	}
 	index := map[string]int{}
+	prefix := "" // package qualifier of the benchmarks being parsed
 	for _, line := range strings.Split(out, "\n") {
 		line = strings.TrimSpace(line)
 		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
 			r.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		if pkg, ok := strings.CutPrefix(line, "pkg:"); ok {
+			prefix = ""
+			if rel, ok := strings.CutPrefix(strings.TrimSpace(pkg), modPath+"/"); ok {
+				prefix = rel + "."
+			}
 			continue
 		}
 		m := benchLine.FindStringSubmatch(line)
@@ -139,18 +162,19 @@ func runSuite(bench, benchtime, pkg string, count int) (*Report, string, error) 
 		}
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
-		i, ok := index[m[1]]
+		name := prefix + m[1]
+		i, ok := index[name]
 		if !ok {
 			i = len(r.Results)
-			index[m[1]] = i
-			r.Results = append(r.Results, Result{Name: m[1]})
+			index[name] = i
+			r.Results = append(r.Results, Result{Name: name})
 		}
 		res := &r.Results[i]
 		res.Iterations = iters
 		res.SamplesNs = append(res.SamplesNs, ns)
-		if m[4] != "" {
-			res.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-			res.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		if mem := memCols.FindStringSubmatch(line); mem != nil {
+			res.BytesPerOp, _ = strconv.ParseInt(mem[1], 10, 64)
+			res.AllocsPerOp, _ = strconv.ParseInt(mem[2], 10, 64)
 		}
 	}
 	if len(r.Results) == 0 {

@@ -18,10 +18,15 @@
 // (McKay): start from the degree partition, refine to the coarsest equitable
 // ordered partition, and where refinement stalls, individualize each vertex
 // of the first non-singleton cell in turn and recurse. Each discrete leaf is
-// a relabelling; the canonical form is the minimum relabelled edge mask over
-// all leaves, and — because the leaf set is closed under Aut(g), which acts
-// freely on it — the number of leaves achieving that minimum is exactly
-// |Aut(g)|.
+// a relabelling, and the canonical form is the minimum relabelled edge mask
+// over all leaves. Aut(g) acts on the tree and keeps every leaf's mask, so
+// the search prunes by it (first-path automorphism pruning, McKay & Piperno,
+// "Practical graph isomorphism, II", 2014): a later leaf whose mask equals
+// the first leaf's is an automorphism, its subtree is abandoned, and a child
+// of a first-path node in the orbit of an explored sibling is skipped. The
+// skipped leaves repeat masks already seen, so the minimum is unchanged,
+// and |Aut(g)| is the orbit–stabilizer product of the first child's orbit
+// over the first-path nodes.
 package canon
 
 import (
@@ -90,8 +95,8 @@ func Canonical(n int, mask uint64) (Result, error) {
 	}
 	var s searcher
 	s.init(n, mask)
-	s.search(s.rootPartition())
-	return Result{Canon: s.best, AutOrder: s.bestCount}, nil
+	s.search(s.rootPartition(), true)
+	return Result{Canon: s.best, AutOrder: s.autOrder}, nil
 }
 
 // CanonicalSmall is Canonical over a graph.Small — the stack-resident graph
@@ -114,14 +119,27 @@ func MustCanonical(n int, mask uint64) Result {
 // scratch lives in fixed arrays sized by MaxN, so a canonization allocates
 // nothing beyond the recursion stack — the class generator calls this
 // millions of times.
+//
+// The first leaf the search reaches is kept: a later leaf with the same
+// relabelled mask maps the first leaf's vertex order onto its own, which is
+// an automorphism, and its cycles are merged into orbit. Every automorphism
+// found while the children of the first-path node at depth k are explored
+// fixes that node's k individualized vertices, so orbit is then a partition
+// into orbits of a subgroup of their stabilizer — which is what licenses
+// skipping a child there. When the node finishes, the first child's orbit
+// is its full orbit under that stabilizer, and autOrder takes its size.
 type searcher struct {
 	n   int
 	adj [MaxN]uint16 // adj[v] bit w set iff {v,w} edge, vertices 0-based
 	tab *edgeTable   // &edgeTables[n]
 
-	best      uint64 // minimum relabelled mask over leaves seen so far
-	bestCount uint64 // leaves achieving best = |Aut| at the end
-	leafSeen  bool
+	best     uint64      // minimum relabelled mask over the leaves visited
+	first    uint64      // the first leaf's relabelled mask
+	firstOrd [MaxN]uint8 // the first leaf's vertex order
+	leafSeen bool
+	orbit    [MaxN]uint8 // union-find parents: orbits of the automorphisms found
+	autOrder uint64      // Π |orbit of the first child| over finished first-path nodes
+	leaves   int         // leaves visited, which the pruning tests bound
 }
 
 // partition is an ordered partition of the vertex set: order lists vertices,
@@ -166,9 +184,13 @@ func (s *searcher) init(n int, mask uint64) {
 		s.adj[e[0]] |= 1 << e[1]
 		s.adj[e[1]] |= 1 << e[0]
 	}
+	for v := range s.orbit {
+		s.orbit[v] = uint8(v)
+	}
 	s.best = 0
-	s.bestCount = 0
 	s.leafSeen = false
+	s.autOrder = 1
+	s.leaves = 0
 }
 
 // rootPartition is the unit partition: all vertices in one cell. The first
@@ -257,8 +279,13 @@ func (s *searcher) refine(p *partition) {
 	}
 }
 
-// search recurses over the individualization–refinement tree rooted at p.
-func (s *searcher) search(p partition) {
+// search recurses over the individualization–refinement tree rooted at p;
+// onFirst reports that p lies on the first path, the one to the first leaf.
+// It returns true when a leaf below p matched the first leaf off the first
+// path. That leaf's automorphism maps the first-path child's subtree onto
+// the subtree being explored, so every node up to the first-path node where
+// the two paths branch returns at once.
+func (s *searcher) search(p partition, onFirst bool) bool {
 	s.refine(&p)
 	// Find the first non-singleton cell; a fully discrete partition is a
 	// leaf.
@@ -270,30 +297,40 @@ func (s *searcher) search(p partition) {
 		}
 	}
 	if target < 0 {
-		s.leaf(&p)
-		return
+		return s.leaf(&p)
 	}
 	end := target
 	for !p.cellEnd[end] {
 		end++
 	}
 	// Individualize each vertex of the target cell in turn: move it to the
-	// front of the cell and seal it as a singleton. Every choice spawns one
-	// branch; automorphic choices spawn isomorphic subtrees, which is
-	// exactly how min-leaf multiplicity counts |Aut|.
+	// front of the cell and seal it as a singleton. At a first-path node a
+	// vertex in the orbit of an earlier sibling is skipped: the automorphism
+	// carries that sibling's subtree onto its subtree, leaf masks included.
 	for j := target; j <= end; j++ {
+		v := p.order[j]
+		if onFirst && s.sameOrbit(v, p.order[target:j]) {
+			continue
+		}
 		q := p
-		v := q.order[j]
 		copy(q.order[target+1:j+1], p.order[target:j])
 		q.order[target] = v
 		q.cellEnd[target] = true
-		s.search(q)
+		if s.search(q, onFirst && j == target) && !onFirst {
+			return true
+		}
 	}
+	if onFirst {
+		s.autOrder *= uint64(s.orbitSize(p.order[target], p.order[target:end+1]))
+	}
+	return false
 }
 
 // leaf scores one discrete partition: relabel vertex order[i] to i+1 and
-// compare the relabelled mask against the best seen.
-func (s *searcher) leaf(p *partition) {
+// compare the relabelled mask against the first leaf and the best seen. It
+// reports whether the leaf is an automorphic image of the first leaf.
+func (s *searcher) leaf(p *partition) bool {
+	s.leaves++
 	var pos [MaxN]uint8
 	for i := 0; i < s.n; i++ {
 		pos[p.order[i]] = uint8(i)
@@ -306,9 +343,53 @@ func (s *searcher) leaf(p *partition) {
 		}
 	}
 	switch {
-	case !s.leafSeen || mask < s.best:
-		s.best, s.bestCount, s.leafSeen = mask, 1, true
-	case mask == s.best:
-		s.bestCount++
+	case !s.leafSeen:
+		s.best, s.first, s.firstOrd, s.leafSeen = mask, mask, p.order, true
+	case mask == s.first:
+		for i := 0; i < s.n; i++ {
+			s.union(s.firstOrd[i], p.order[i])
+		}
+		return true
+	case mask < s.best:
+		s.best = mask
 	}
+	return false
+}
+
+// find returns the root of v's orbit, halving the path on the way.
+func (s *searcher) find(v uint8) uint8 {
+	for s.orbit[v] != v {
+		s.orbit[v] = s.orbit[s.orbit[v]]
+		v = s.orbit[v]
+	}
+	return v
+}
+
+func (s *searcher) union(u, v uint8) {
+	if ru, rv := s.find(u), s.find(v); ru != rv {
+		s.orbit[rv] = ru
+	}
+}
+
+// sameOrbit reports whether v shares an orbit with any of the vertices in
+// siblings.
+func (s *searcher) sameOrbit(v uint8, siblings []uint8) bool {
+	r := s.find(v)
+	for _, u := range siblings {
+		if s.find(u) == r {
+			return true
+		}
+	}
+	return false
+}
+
+// orbitSize counts the vertices of cell in v's orbit.
+func (s *searcher) orbitSize(v uint8, cell []uint8) int {
+	r, size := s.find(v), 0
+	for _, u := range cell {
+		if s.find(u) == r {
+			size++
+		}
+	}
+	return size
 }

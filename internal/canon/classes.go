@@ -135,8 +135,9 @@ func classTable(n int) (*classLevel, error) {
 // labelled graphs a naive census would canonize. The filter drops candidates,
 // never classes, and any member of a class yields the same canonical form and
 // |Aut|, so the table is the same as without it. Each class's weight m!/|Aut|
-// is computed here, once per process. It returns the table and the number of
-// candidates canonized.
+// is computed here, once per process, by the worker that found the class;
+// each worker sorts its classes by mask and a linear merge joins them. It
+// returns the table and the number of candidates canonized.
 func extendLevel(m int, prev []Class) ([]Class, int) {
 	// Re-indexing tables: edge idx in the (m-1)-vertex EdgeIndex space → idx
 	// in the m-vertex space, and neighborhood bit j → edge {j+1, m}.
@@ -152,7 +153,8 @@ func extendLevel(m int, prev []Class) ([]Class, int) {
 	if workers > len(prev) {
 		workers = len(prev)
 	}
-	parts := make([]map[uint64]uint64, workers)
+	mf := Factorial(m)
+	parts := make([][]Class, workers)
 	counts := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -197,32 +199,45 @@ func extendLevel(m int, prev []Class) ([]Class, int) {
 					canonized++
 				}
 			}
-			parts[w], counts[w] = seen, canonized
+			part := make([]Class, 0, len(seen))
+			for c, a := range seen {
+				part = append(part, Class{Mask: c, Weight: mf / a})
+			}
+			slices.SortFunc(part, func(a, b Class) int { return cmp.Compare(a.Mask, b.Mask) })
+			parts[w], counts[w] = part, canonized
 		}()
 	}
 	wg.Wait()
 
-	merged := parts[0]
-	if merged == nil {
-		merged = make(map[uint64]uint64)
-	}
-	for _, part := range parts[1:] {
-		for c, a := range part {
-			merged[c] = a
-		}
-	}
-	table := make([]Class, 0, len(merged))
-	for c := range merged {
-		table = append(table, Class{Mask: c})
-	}
-	slices.SortFunc(table, func(a, b Class) int { return cmp.Compare(a.Mask, b.Mask) })
-	mf := Factorial(m)
-	for i := range table {
-		table[i].Weight = mf / merged[table[i].Mask]
-	}
 	candidates := 0
 	for _, c := range counts {
 		candidates += c
 	}
-	return table, candidates
+	return mergeClasses(parts), candidates
+}
+
+// mergeClasses joins mask-sorted tables into one, keeping one entry per mask:
+// workers meet the same class through different parents, with the same
+// weight.
+func mergeClasses(parts [][]Class) []Class {
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	out := make([]Class, 0, total)
+	for {
+		next := -1
+		for i, part := range parts {
+			if len(part) > 0 && (next < 0 || part[0].Mask < parts[next][0].Mask) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return out
+		}
+		if c := parts[next][0]; len(out) == 0 || out[len(out)-1].Mask != c.Mask {
+			out = append(out, c)
+		}
+		parts[next] = parts[next][1:]
+	}
 }

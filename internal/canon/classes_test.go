@@ -162,8 +162,11 @@ func TestClassTableDigest(t *testing.T) {
 
 // BenchmarkExtendLevel times building level m from the cached level m-1
 // table — the whole cost of a cold Classes(m) once m-1 is resident — and
-// reports the candidate graphs canonized per build.
+// reports the candidate graphs canonized per build. It fails on a build
+// that does not yield A000088(m) classes from the known candidate count, so
+// a one-iteration run is a smoke test of the class build.
 func BenchmarkExtendLevel(b *testing.B) {
+	candidatesAt := map[int]int{8: 29755, 9: 605107}
 	for _, m := range []int{8, 9} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			prev, err := Classes(m - 1)
@@ -172,9 +175,15 @@ func BenchmarkExtendLevel(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			var table []Class
 			var candidates int
 			for i := 0; i < b.N; i++ {
-				_, candidates = extendLevel(m, prev)
+				table, candidates = extendLevel(m, prev)
+			}
+			b.StopTimer()
+			if uint64(len(table)) != a000088[m] || candidates != candidatesAt[m] {
+				b.Fatalf("m=%d: %d classes from %d candidates, want %d from %d",
+					m, len(table), candidates, a000088[m], candidatesAt[m])
 			}
 			b.ReportMetric(float64(candidates), "candidates/op")
 		})

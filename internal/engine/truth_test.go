@@ -264,14 +264,16 @@ func forestBrute(adj [][]bool) bool {
 	return edges == n-components
 }
 
-// TestConnectivityQuotientIndependentCounts adds canon-n9's two ops to the
-// quotient columns: at n = 9 (n = 8 under -short), connected graphs
-// (A001187: 66,296,291,072) and forests (A001858: 10,026,505) counted by a
-// brute-force verdict per class representative times its orbit weight must
-// equal the weighted vector sweep of oracle-conn and oracle-forest, cut by
-// engine.SplitRange into 7 units whose inner bounds are not multiples of 64
-// (so blocks load unaligned table windows) and summed over
-// engine.ExecuteShard.
+// TestConnectivityQuotientIndependentCounts adds canon-n9's two ops and the
+// paper's triangle and square predicates to the quotient columns: at n = 9
+// (n = 8 under -short), connected graphs (A001187: 66,296,291,072), forests
+// (A001858: 10,026,505), graphs with a triangle and graphs with a 4-cycle
+// counted by a brute-force verdict per class representative times its orbit
+// weight must equal the weighted vector sweep of oracle-conn, oracle-forest,
+// oracle-triangle and oracle-square, cut by engine.SplitRange into 7 units
+// whose inner bounds are not multiples of 64 (so blocks load unaligned table
+// windows) and summed over engine.ExecuteShard. The n = 8 triangle and
+// square counts match a labelled brute force over all 2^28 graphs.
 func TestConnectivityQuotientIndependentCounts(t *testing.T) {
 	n := 9
 	if testing.Short() {
@@ -298,7 +300,19 @@ func TestConnectivityQuotientIndependentCounts(t *testing.T) {
 	}{
 		{"oracle-conn", connectedBrute, map[int]uint64{8: 251548592, 9: 66296291072}},
 		{"oracle-forest", forestBrute, map[int]uint64{8: 561948, 9: 10026505}},
+		{"oracle-triangle", hasTriangleBrute, map[int]uint64{8: 263753186, 9: 68473128621}},
+		{"oracle-square", hasSquareBrute, map[int]uint64{8: 263835548, 9: 68545272008}},
 	} {
+		p, ok := engine.New(tc.protocol, engine.Config{N: n})
+		if !ok {
+			t.Fatalf("protocol %q not registered", tc.protocol)
+		}
+		b := engine.NewBatch(p, engine.BatchOptions{Workers: 1, Decide: true, MaxN: n})
+		vector := b.Vectorized()
+		b.Close()
+		if !vector {
+			t.Fatalf("%s n=%d: batch did not engage the vector path", tc.protocol, n)
+		}
 		brute := quotientBrute(t, n, tc.has)
 		if brute != tc.want[n] {
 			t.Errorf("%s n=%d: brute force over the classes counts %d, want %d", tc.protocol, n, brute, tc.want[n])
