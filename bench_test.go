@@ -310,6 +310,59 @@ func BenchmarkVectorBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteShard is the batch-shard boundary: one engine.ExecuteShard
+// call per op, the whole per-unit path of a daemon (protocol instance,
+// source resolution, batch set-up, blocks, fold, Close) without codec or
+// coordinator. The gray rows are n = 6 units of 1 and 4 aligned 64-rank
+// blocks, units-n6's shape; the canon row is a weighted n = 6 class window.
+// Set-up allocates only the source header and, for oracle-conn, the
+// protocol instance and its kernel closures: see B/op and allocs/op.
+func BenchmarkExecuteShard(b *testing.B) {
+	classes, err := canon.Classes(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var windowGraphs uint64
+	for _, c := range classes[20:150] {
+		windowGraphs += c.Weight
+	}
+	type row struct {
+		name   string
+		spec   engine.ShardSpec
+		graphs uint64
+	}
+	var rows []row
+	for _, pr := range []struct {
+		name, protocol string
+		decide         bool
+	}{{"hash16", "hash16", false}, {"oracle-conn-decide", "oracle-conn", true}} {
+		for _, blocks := range []uint64{1, 4} {
+			rows = append(rows, row{fmt.Sprintf("gray/%s/%d-block", pr.name, blocks), engine.ShardSpec{
+				Protocol: pr.protocol, Config: engine.Config{N: 6}, Decide: pr.decide,
+				Source: engine.SourceSpec{Kind: "gray", N: 6, Lo: 1024, Hi: 1024 + 64*blocks},
+			}, 64 * blocks})
+		}
+	}
+	rows = append(rows, row{"canon/oracle-conn-decide/window", engine.ShardSpec{
+		Protocol: "oracle-conn", Config: engine.Config{N: 6}, Decide: true,
+		Source: engine.SourceSpec{Kind: "canon", N: 6, Lo: 20, Hi: 150},
+	}, windowGraphs})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := engine.ExecuteShard(r.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Graphs != r.graphs {
+					b.Fatalf("ran %d graphs, want %d", st.Graphs, r.graphs)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSweepLocal measures the sweep coordinator end to end with
 // in-process workers: plan (rank-range split), execute (each unit by direct
 // call on its slot's goroutine), merge (BatchStats.Merge over completion

@@ -50,15 +50,19 @@ func ValidateGrayRange(n int, lo, hi uint64) error {
 	return nil
 }
 
-// edgePairs fills us/vs with the EdgePair decoding of every edge index, so
-// the toggle loop does not redo the division each step. The arrays live on
-// the caller's stack.
-func edgePairs(n int, us, vs *[64]int) {
-	total := n * (n - 1) / 2
-	for idx := 0; idx < total; idx++ {
-		us[idx], vs[idx] = graph.EdgePair(n, idx)
+// edgeTables[n] is the EdgePair decoding of every edge index of order n,
+// built once and shared read-only by every Gray walk and source, so no
+// toggle loop redoes the division.
+type edgeTable struct{ us, vs [64]int }
+
+var edgeTables = func() (t [MaxEnumerationN + 1]edgeTable) {
+	for n := range t {
+		for idx := 0; idx < n*(n-1)/2; idx++ {
+			t[n].us[idx], t[n].vs[idx] = graph.EdgePair(n, idx)
+		}
 	}
-}
+	return t
+}()
 
 // EnumerateGraphsGray calls visit on every labelled graph with vertex set
 // {1..n} in Gray-code order, stopping early if visit returns false. The
@@ -88,8 +92,7 @@ func EnumerateGraphsGrayRange(n int, lo, hi uint64, visit func(mask uint64, g gr
 	if lo == hi {
 		return nil
 	}
-	var us, vs [64]int
-	edgePairs(n, &us, &vs)
+	pairs := &edgeTables[n]
 	mask := lo ^ (lo >> 1)
 	s := graph.SmallFromMask(n, mask)
 	if !visit(mask, s) {
@@ -98,7 +101,7 @@ func EnumerateGraphsGrayRange(n int, lo, hi uint64, visit func(mask uint64, g gr
 	for i := lo + 1; i < hi; i++ {
 		bit := bits.TrailingZeros64(i)
 		mask ^= 1 << uint(bit)
-		s.ToggleEdge(us[bit], vs[bit])
+		s.ToggleEdge(pairs.us[bit], pairs.vs[bit])
 		if !visit(mask, s) {
 			return nil
 		}
@@ -136,13 +139,12 @@ func countRange(fc *FamilyCounts, n int, lo, hi uint64, half int) {
 	if lo >= hi {
 		return
 	}
-	var us, vs [64]int
-	edgePairs(n, &us, &vs)
+	pairs := &edgeTables[n]
 	s := graph.SmallFromMask(n, lo^(lo>>1))
 	countInto(fc, &s, half)
 	for i := lo + 1; i < hi; i++ {
 		bit := bits.TrailingZeros64(i)
-		s.ToggleEdge(us[bit], vs[bit])
+		s.ToggleEdge(pairs.us[bit], pairs.vs[bit])
 		countInto(fc, &s, half)
 	}
 }

@@ -53,7 +53,7 @@ type GraySource struct {
 	hi      uint64
 	mask    uint64
 	g       *graph.Graph
-	us, vs  [64]int
+	pairs   *edgeTable // shared with every order-n walk
 	started bool
 }
 
@@ -82,9 +82,7 @@ func GraySourceForRange(n int, lo, hi uint64) (*GraySource, error) {
 	if err := ValidateGrayRange(n, lo, hi); err != nil {
 		return nil, err
 	}
-	s := &GraySource{n: n, lo: lo, next: lo, hi: hi}
-	edgePairs(n, &s.us, &s.vs)
-	return s, nil
+	return &GraySource{n: n, lo: lo, next: lo, hi: hi, pairs: &edgeTables[n]}, nil
 }
 
 // Reset rewinds the source to the start of its range, so one source can
@@ -109,7 +107,7 @@ func (s *GraySource) Next() *graph.Graph {
 	}
 	bit := bits.TrailingZeros64(s.next)
 	s.mask ^= 1 << uint(bit)
-	s.g.ToggleEdge(s.us[bit], s.vs[bit])
+	s.g.ToggleEdge(s.pairs.us[bit], s.pairs.vs[bit])
 	s.next++
 	return s.g
 }

@@ -186,9 +186,11 @@ type Sized interface {
 
 // Batch runs one protocol over streams of graphs. Create it once, Run it per
 // stream: workers, channels and per-worker scratch (message vectors, writer,
-// byte arena, neighbor buffers) persist across runs, which is what makes the
-// steady state allocation-free for BufferedLocal protocols. A Batch is not
-// safe for concurrent Runs; Close it to release the worker goroutines.
+// byte arena, neighbor buffers, lane block) persist across runs, which is
+// what makes the steady state allocation-free for BufferedLocal protocols.
+// The scratch comes from a pool, so a Batch built for one short unit starts
+// without allocating too. A Batch is not safe for concurrent Runs; Close
+// returns its scratch to the pool, and Run or RunShards after Close panics.
 type Batch struct {
 	p        Local
 	buffered BufferedLocal // non-nil when p opts into the arena path
@@ -246,13 +248,23 @@ func (l *lockedSource) Next() *graph.Graph {
 	return g
 }
 
-// NewBatch builds a reusable batch runner for p.
-func NewBatch(p Local, opts BatchOptions) *Batch {
+// scratchPool holds every idle batch scratch; oneShots holds RunBatch's
+// single-worker batches, which no caller can reach once pooled.
+var (
+	scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+	oneShots    = sync.Pool{New: func() any { return new(Batch) }}
+)
+
+// NewBatch builds a reusable batch runner for p on pooled scratch, which
+// Close hands back.
+func NewBatch(p Local, opts BatchOptions) *Batch { return new(Batch).init(p, opts) }
+
+func (b *Batch) init(p Local, opts BatchOptions) *Batch {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	b := &Batch{p: p, opts: opts, workers: workers}
+	*b = Batch{p: p, opts: opts, workers: workers}
 	if opts.Sched == nil {
 		b.buffered, _ = p.(BufferedLocal)
 	}
@@ -274,7 +286,7 @@ func NewBatch(p Local, opts BatchOptions) *Batch {
 		b.jobs = make(chan *batchShard)
 		b.done = make(chan *batchShard, workers)
 		for i := 0; i < workers; i++ {
-			// Scratch is allocated (and, with MaxN, fully pre-sized) here on
+			// Scratch is taken (and, with MaxN, fully pre-sized) here on
 			// the creating goroutine: a worker that is never scheduled until
 			// later must not allocate inside someone else's measurement.
 			go b.worker(b.newScratch())
@@ -283,18 +295,21 @@ func NewBatch(p Local, opts BatchOptions) *Batch {
 	return b
 }
 
-// newScratch builds one worker's scratch, pre-sized per opts.MaxN.
+// newScratch takes one worker's scratch from the pool, grown to opts.MaxN
+// where it is too small. Its lane block's tables need no reset: every fill
+// rebuilds them when the order changes.
 func (b *Batch) newScratch() *batchScratch {
-	sc := &batchScratch{}
+	sc := scratchPool.Get().(*batchScratch)
 	n := b.opts.MaxN
 	if n <= 0 {
 		return sc
 	}
-	sc.msgs = make([]bits.String, n)
-	sc.nbrs = make([]int, 0, n)
+	sc.sized(n)
 	if sz, ok := b.p.(Sized); ok && b.buffered != nil {
 		perMsg := (sz.MessageBits(n) + 7) / 8
-		sc.arena = make([]byte, 0, perMsg*n)
+		if cap(sc.arena) < perMsg*n {
+			sc.arena = make([]byte, 0, perMsg*n)
+		}
 		// Pre-grow the writer's internal buffer to one message.
 		for i := 0; i < perMsg*8; i++ {
 			sc.w.WriteBit(0)
@@ -304,19 +319,27 @@ func (b *Batch) newScratch() *batchScratch {
 	return sc
 }
 
-// Close stops the worker goroutines. The Batch must not be used afterwards.
+// Close stops the worker goroutines and returns the scratch to the pool,
+// once however often it is called. The Batch must not be used afterwards.
 func (b *Batch) Close() {
-	if b.jobs != nil && !b.closed {
+	if b.closed {
+		return
+	}
+	if b.jobs != nil {
 		close(b.jobs)
 	}
-	b.closed = true
+	scratchPool.Put(b.sc)
+	b.sc, b.closed = nil, true
 }
+
+const errClosed = "engine: Batch used after Close"
 
 func (b *Batch) worker(sc *batchScratch) {
 	for sh := range b.jobs {
 		b.runShard(sh, sc)
 		b.done <- sh
 	}
+	scratchPool.Put(sc)
 }
 
 // Run streams src through the protocol and returns aggregated stats. With
@@ -324,6 +347,9 @@ func (b *Batch) worker(sc *batchScratch) {
 // Weighted source, whose Next/Weight pair cannot straddle goroutines — the
 // whole run happens on the calling goroutine.
 func (b *Batch) Run(src Source) BatchStats {
+	if b.closed {
+		panic(errClosed)
+	}
 	_, block := src.(BlockSource)
 	_, weighted := src.(Weighted)
 	if b.workers == 1 || block || weighted {
@@ -350,6 +376,9 @@ func (b *Batch) Run(src Source) BatchStats {
 // stay allocation-free because no graph crosses a goroutine. Shards are
 // distributed over the worker pool; with one worker they run sequentially.
 func (b *Batch) RunShards(srcs ...Source) BatchStats {
+	if b.closed {
+		panic(errClosed)
+	}
 	if b.workers == 1 {
 		var out BatchStats
 		for _, src := range srcs {
@@ -545,11 +574,16 @@ func (b *Batch) account(g *graph.Graph, weight uint64, msgs []bits.String, st *B
 // for sources that serve blocks.
 func (b *Batch) Vectorized() bool { return b.vkern != nil }
 
-// RunBatch runs p over src with a one-shot Batch. For repeated runs build a
-// Batch once and reuse it — the scratch reuse is what amortizes to zero
-// allocations.
+// RunBatch runs p over src with a one-shot Batch. A single-worker one is
+// pooled like its scratch, so its set-up allocates nothing; a multi-worker
+// one starts its goroutines per call, so for repeated runs reuse a Batch.
 func RunBatch(p Local, src Source, opts BatchOptions) BatchStats {
-	b := NewBatch(p, opts)
-	defer b.Close()
+	b := oneShots.Get().(*Batch).init(p, opts)
+	defer func() {
+		b.Close()
+		if b.workers == 1 {
+			oneShots.Put(b)
+		}
+	}()
 	return b.Run(src)
 }
