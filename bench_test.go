@@ -122,21 +122,29 @@ func BenchmarkLocalEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkReferee times Theorem 5's referee, the word-sized peel that
+// forest, degeneracy and generalized share, on one transcript per row.
 func BenchmarkReferee(b *testing.B) {
+	run := func(name string, g *graph.Graph, p engine.Reconstructor) {
+		n := g.N()
+		tr := engine.LocalPhase(g, p, engine.Chunked{})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if h, err := p.Reconstruct(n, tr.Messages); err != nil || h.M() != g.M() {
+					b.Fatalf("reconstruct: %v", err)
+				}
+			}
+		})
+	}
 	for _, k := range []int{1, 3} {
 		for _, n := range []int{256, 1024} {
-			g := gen.RandomKDegenerate(gen.NewRand(2), n, k, true)
-			p := &core.DegeneracyProtocol{K: k}
-			tr := engine.LocalPhase(g, p, engine.Chunked{})
-			b.Run(fmt.Sprintf("decode/k=%d/n=%d", k, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Reconstruct(n, tr.Messages); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(fmt.Sprintf("decode/k=%d/n=%d", k, n), gen.RandomKDegenerate(gen.NewRand(2), n, k, true), &core.DegeneracyProtocol{K: k})
 		}
 	}
+	run("ktree64/k=3", gen.KTree(gen.NewRand(2), 64, 3), &core.DegeneracyProtocol{K: 3})
+	run("forest/n=1024", gen.RandomForest(gen.NewRand(2), 1024, 4), core.ForestProtocol{})
+	run("generalized/k=1/n=256", gen.RandomTree(gen.NewRand(2), 256).Complement(), &core.GeneralizedDegeneracyProtocol{K: 1})
 }
 
 // BenchmarkRunBatch is the batched execution path: one registered protocol
@@ -475,6 +483,7 @@ func BenchmarkDecoderAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("newton", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Reconstruct(n, tr.Messages); err != nil {
 				b.Fatal(err)
@@ -483,6 +492,7 @@ func BenchmarkDecoderAblation(b *testing.B) {
 	})
 	b.Run("lookup", func(b *testing.B) {
 		pl := &core.DegeneracyProtocol{K: k, Decoder: ld}
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pl.Reconstruct(n, tr.Messages); err != nil {
 				b.Fatal(err)

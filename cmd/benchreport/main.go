@@ -58,7 +58,7 @@ type Report struct {
 	Results   []Result `json:"results"`
 }
 
-const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkExecuteShard|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkCanonicalFormSymmetric|BenchmarkExtendLevel|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassSourceOpen"
+const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkExecuteShard|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkCanonicalFormSymmetric|BenchmarkExtendLevel|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassSourceOpen|BenchmarkReferee|BenchmarkDecoderAblation"
 
 // benchLine matches one line of `go test -bench -benchmem` output, e.g.
 // "BenchmarkEnumerate/n=6-8  370  3212515 ns/op  0 B/op  0 allocs/op".

@@ -4,13 +4,12 @@
 // send, so messages in this repository are genuine bitstrings rather than Go
 // values. A String is an immutable sequence of bits; Writer and Reader
 // convert between structured data and bitstrings using fixed-width words,
-// self-delimiting Elias codes and length-prefixed big integers.
+// fixed-width multi-word integers and self-delimiting Elias codes.
 package bits
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
 	mathbits "math/bits"
 	"strings"
 )
@@ -172,20 +171,6 @@ func (w *Writer) WriteEliasDelta(v uint64) {
 	}
 }
 
-// WriteBigInt appends a non-negative big integer, self-delimited: Elias gamma
-// of (bit length + 1), then the raw magnitude bits. Zero is encoded as
-// length marker 1 with no payload.
-func (w *Writer) WriteBigInt(v *big.Int) {
-	if v.Sign() < 0 {
-		panic("bits: WriteBigInt requires v >= 0")
-	}
-	nbits := v.BitLen()
-	w.WriteEliasGamma(uint64(nbits) + 1)
-	for i := nbits - 1; i >= 0; i-- {
-		w.WriteBit(int(v.Bit(i)))
-	}
-}
-
 // WriteLimbsWidth appends a non-negative integer, given as little-endian
 // 64-bit limbs (limbs[0] holds bits 0..63), as exactly width bits, most
 // significant bit first: the fixed-width power-sum encoding of the
@@ -276,11 +261,40 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 		return 0, fmt.Errorf("bits: need %d bits, have %d", width, r.Remaining())
 	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v = v<<1 | uint64(b)
+	for width > 0 {
+		off := r.pos & 7
+		take := min(8-off, width)
+		b := r.s.data[r.pos>>3] >> uint(8-off-take) & (1<<uint(take) - 1)
+		v = v<<uint(take) | uint64(b)
+		r.pos += take
+		width -= take
 	}
 	return v, nil
+}
+
+// ReadLimbsWidth reads exactly width bits, most significant first, into
+// limbs as a non-negative little-endian integer (limbs[0] gets bits
+// 0..63): the mirror of WriteLimbsWidth, and how the referee reads a
+// Theorem 5 power sum back into machine words. Limbs above the width are
+// cleared. It returns an error when fewer than width bits remain or a set
+// bit lies beyond the limbs.
+func (r *Reader) ReadLimbsWidth(limbs []uint64, width int) error {
+	if width < 0 || r.Remaining() < width {
+		return fmt.Errorf("bits: need %d bits, have %d", width, r.Remaining())
+	}
+	clear(limbs)
+	for width > 64*len(limbs) {
+		pad := min(width-64*len(limbs), 64)
+		if v, _ := r.ReadUint(pad); v != 0 {
+			return fmt.Errorf("bits: value does not fit in %d limbs", len(limbs))
+		}
+		width -= pad
+	}
+	for i := (width - 1) >> 6; i >= 0; i-- {
+		limbs[i], _ = r.ReadUint(width - 64*i)
+		width = 64 * i
+	}
+	return nil
 }
 
 // ReadEliasGamma reads an Elias gamma encoded value ≥ 1.
@@ -320,43 +334,6 @@ func (r *Reader) ReadEliasDelta() (uint64, error) {
 		return 0, err
 	}
 	return 1<<(nbits-1) | rest, nil
-}
-
-// ReadBigInt reads a big integer written by WriteBigInt.
-func (r *Reader) ReadBigInt() (*big.Int, error) {
-	lp, err := r.ReadEliasGamma()
-	if err != nil {
-		return nil, err
-	}
-	nbits := int(lp) - 1
-	if nbits < 0 || nbits > r.Remaining() {
-		return nil, fmt.Errorf("bits: big int length %d invalid", nbits)
-	}
-	v := new(big.Int)
-	for i := 0; i < nbits; i++ {
-		b, _ := r.ReadBit()
-		v.Lsh(v, 1)
-		if b == 1 {
-			v.SetBit(v, 0, 1)
-		}
-	}
-	return v, nil
-}
-
-// ReadBigIntWidth reads exactly width bits as a non-negative big integer.
-func (r *Reader) ReadBigIntWidth(width int) (*big.Int, error) {
-	if width < 0 || r.Remaining() < width {
-		return nil, fmt.Errorf("bits: need %d bits, have %d", width, r.Remaining())
-	}
-	v := new(big.Int)
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v.Lsh(v, 1)
-		if b == 1 {
-			v.SetBit(v, 0, 1)
-		}
-	}
-	return v, nil
 }
 
 // bitLen returns the number of bits needed to represent v ≥ 1.

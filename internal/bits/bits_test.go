@@ -1,8 +1,8 @@
 package bits
 
 import (
-	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,13 +68,6 @@ func TestWriteUintOverflowPanics(t *testing.T) {
 func writeBitsRef(w *Writer, v uint64, width int) {
 	for i := width - 1; i >= 0; i-- {
 		w.WriteBit(int(v >> uint(i) & 1))
-	}
-}
-
-// writeBigWidthRef is the big.Int fixed-width reference writer.
-func writeBigWidthRef(w *Writer, v *big.Int, width int) {
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(int(v.Bit(i)))
 	}
 }
 
@@ -272,65 +265,72 @@ func TestEliasDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBigIntRoundTrip(t *testing.T) {
-	vals := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(255),
-		new(big.Int).Lsh(big.NewInt(1), 100),
-		new(big.Int).SetBytes([]byte{0xde, 0xad, 0xbe, 0xef, 0x12, 0x34, 0x56, 0x78, 0x9a}),
-	}
-	var w Writer
-	for _, v := range vals {
-		w.WriteBigInt(v)
-	}
-	r := NewReader(w.String())
-	for _, want := range vals {
-		got, err := r.ReadBigInt()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Errorf("big int round trip: got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestBigIntWidthRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		width := 1 + rng.Intn(200)
-		v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(width)))
-		var w Writer
-		writeBigWidthRef(&w, v, width)
-		if w.Len() != width {
-			t.Fatalf("width write emitted %d bits, want %d", w.Len(), width)
-		}
-		got, err := NewReader(w.String()).ReadBigIntWidth(width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(v) != 0 {
-			t.Fatalf("got %v, want %v", got, v)
-		}
-	}
-}
-
-func TestWriteLimbsWidthMatchesBigIntWidth(t *testing.T) {
+// ReadLimbsWidth must read back exactly what WriteLimbsWidth wrote, from
+// every start offset within a byte and at every width up to three limbs,
+// clear the limbs above the width, and leave the reader at the next field.
+func TestReadLimbsWidthRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		width := 1 + rng.Intn(200)
-		v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(width)))
-		limbs := make([]uint64, 0, 4)
-		for i := 0; i*64 < v.BitLen(); i++ {
-			limbs = append(limbs, new(big.Int).Rsh(v, uint(64*i)).Uint64())
+	for offset := 0; offset < 8; offset++ {
+		for width := 0; width <= 130; width++ {
+			want := make([]uint64, 3)
+			for i := range want {
+				if bit := 64 * i; bit < width {
+					want[i] = rng.Uint64()
+					if width-bit < 64 {
+						want[i] &= 1<<uint(width-bit) - 1
+					}
+				}
+			}
+			prefix := rng.Uint64() & (1<<uint(offset) - 1)
+			var w Writer
+			w.WriteUint(prefix, offset)
+			w.WriteLimbsWidth(want, width)
+			w.WriteUint(5, 3)
+			var ref Writer
+			writeBitsRef(&ref, prefix, offset)
+			for i := 2; i >= 0; i-- {
+				if bit := 64 * i; bit < width {
+					writeBitsRef(&ref, want[i], min(width-bit, 64))
+				}
+			}
+			writeBitsRef(&ref, 5, 3)
+			if !w.String().Equal(ref.String()) {
+				t.Fatalf("offset=%d width=%d: wrote %s, want %s", offset, width, w.String(), ref.String())
+			}
+			r := NewReader(w.String())
+			if p, err := r.ReadUint(offset); err != nil || p != prefix {
+				t.Fatalf("offset=%d width=%d: prefix %d, %v", offset, width, p, err)
+			}
+			got := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+			if err := r.ReadLimbsWidth(got, width); err != nil {
+				t.Fatalf("offset=%d width=%d: %v", offset, width, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("offset=%d width=%d: read %#x, want %#x", offset, width, got, want)
+			}
+			if tail, err := r.ReadUint(3); err != nil || tail != 5 || r.Remaining() != 0 {
+				t.Fatalf("offset=%d width=%d: trailer %d, %v, %d bits left", offset, width, tail, err, r.Remaining())
+			}
 		}
-		var ref, got Writer
-		writeBigWidthRef(&ref, v, width)
-		got.WriteLimbsWidth(limbs, width)
-		if !got.String().Equal(ref.String()) {
-			t.Fatalf("width=%d v=%v: limbs %s != big.Int %s", width, v, got.String(), ref.String())
-		}
+	}
+}
+
+func TestReadLimbsWidthErrors(t *testing.T) {
+	var w Writer
+	w.WriteLimbsWidth([]uint64{0, 1}, 70) // bit 64 set
+	s := w.String()
+	if err := NewReader(s).ReadLimbsWidth(make([]uint64, 1), 70); err == nil {
+		t.Error("a set bit above the limbs should not read")
+	}
+	if err := NewReader(s).ReadLimbsWidth(make([]uint64, 2), 71); err == nil {
+		t.Error("a read past the end should fail")
+	}
+	// Zero bits above the limbs are only padding.
+	w.Reset()
+	w.WriteLimbsWidth([]uint64{9}, 130)
+	got := make([]uint64, 1)
+	if err := NewReader(w.String()).ReadLimbsWidth(got, 130); err != nil || got[0] != 9 {
+		t.Errorf("padded read %v, %v; want [9]", got, err)
 	}
 }
 
@@ -338,10 +338,9 @@ func TestWriteLimbsWidthShortAndPadded(t *testing.T) {
 	// A value with fewer limbs than the width covers is zero-extended.
 	var w Writer
 	w.WriteLimbsWidth([]uint64{5}, 70)
-	r := NewReader(w.String())
-	v, err := r.ReadBigIntWidth(70)
-	if err != nil || v.Int64() != 5 {
-		t.Fatalf("read %v, %v; want 5", v, err)
+	v := make([]uint64, 2)
+	if err := NewReader(w.String()).ReadLimbsWidth(v, 70); err != nil || v[0] != 5 || v[1] != 0 {
+		t.Fatalf("read %v, %v; want [5 0]", v, err)
 	}
 	// Trailing zero limbs beyond the width are legal.
 	w.Reset()
@@ -456,10 +455,6 @@ func TestReaderErrors(t *testing.T) {
 	r2 := NewReader(FromBits(1, 1))
 	if _, err := r2.ReadUint(5); err == nil {
 		t.Error("short read should fail")
-	}
-	r3 := NewReader(String{})
-	if _, err := r3.ReadBigInt(); err == nil {
-		t.Error("empty big int read should fail")
 	}
 }
 

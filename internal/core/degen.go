@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"refereenet/internal/bits"
 	"refereenet/internal/engine"
@@ -18,26 +17,25 @@ import (
 )
 
 // NeighborhoodDecoder recovers the set of neighbor IDs of a vertex of degree
-// d ≤ k from the power sums in its message (Lemma 3). Implementations:
-// NewtonDecoder (no precomputation, O(n·d) per vertex) and LookupDecoder
-// (the paper's O(n^k) table with O(log n)-ish queries).
+// d ≤ k from the power sums in its message (Lemma 3), appending it to dst.
+// The sums are the referee's words for the vertex, Reset for (n, k).
+// Implementations: NewtonDecoder (no precomputation, O(n·d) word additions
+// per vertex) and LookupDecoder (the paper's O(n^k) table, one map query
+// per vertex). A decoder may return any set: the peel rejects an ID that is
+// out of range or already peeled, and the final re-encoding rejects every
+// other wrong answer.
 type NeighborhoodDecoder interface {
-	DecodeNeighborhood(d int, sums []*big.Int, n int) ([]int, error)
+	DecodeNeighborhood(dst []int, d int, sums *numeric.PowerSumAccumulator, n int) ([]int, error)
 }
 
-// NewtonDecoder inverts power sums with Newton's identities and integer
-// root extraction. Stateless and exact.
+// NewtonDecoder inverts power sums with Newton's identities over
+// GF(2^61 − 1) and a root scan of [1, n] (numeric.RecoverSet). Stateless
+// and exact.
 type NewtonDecoder struct{}
 
 // DecodeNeighborhood implements NeighborhoodDecoder.
-func (NewtonDecoder) DecodeNeighborhood(d int, sums []*big.Int, n int) ([]int, error) {
-	if d < 0 {
-		return nil, fmt.Errorf("core: negative degree %d", d)
-	}
-	if d > len(sums) {
-		return nil, fmt.Errorf("core: degree %d exceeds available sums %d", d, len(sums))
-	}
-	return numeric.RecoverSet(d, sums[:d], n)
+func (NewtonDecoder) DecodeNeighborhood(dst []int, d int, sums *numeric.PowerSumAccumulator, n int) ([]int, error) {
+	return numeric.RecoverSet(dst, d, sums, n)
 }
 
 // LookupDecoder is the paper's table N: every ≤k-subset of {1..n} indexed by
@@ -55,8 +53,8 @@ func NewLookupDecoder(n, k, maxEntries int) (*LookupDecoder, error) {
 }
 
 // DecodeNeighborhood implements NeighborhoodDecoder.
-func (l *LookupDecoder) DecodeNeighborhood(d int, sums []*big.Int, n int) ([]int, error) {
-	return l.table.Decode(d, sums)
+func (l *LookupDecoder) DecodeNeighborhood(dst []int, d int, sums *numeric.PowerSumAccumulator, _ int) ([]int, error) {
+	return l.table.Decode(dst, d, sums)
 }
 
 // DegeneracyProtocol is the one-round frugal protocol of Theorem 5: it
@@ -69,10 +67,11 @@ func (l *LookupDecoder) DecodeNeighborhood(d int, sums []*big.Int, n int) ([]int
 //	deg(v)           — ⌈log₂(n+1)⌉ bits
 //	Σ_{w∈N(v)} w^p   — ⌈log₂ n^{p+1}⌉ bits, for p = 1..K
 //
-// for a total of O(K² log n) bits (Lemma 2). It is an engine.BufferedLocal:
-// the sums accumulate in machine words (numeric.PowerSumAccumulator), so the
-// local phase of a batch run allocates nothing; math/big appears only in
-// the referee.
+// for a total of O(K² log n) bits (Lemma 2). Both phases work in machine
+// words (numeric.PowerSumAccumulator): it is an engine.BufferedLocal whose
+// local phase allocates nothing in a batch run, and its referee is the
+// word-sized peel it shares with ForestProtocol (its K = 1 case) and
+// GeneralizedDegeneracyProtocol.
 type DegeneracyProtocol struct {
 	K       int
 	Decoder NeighborhoodDecoder // nil means NewtonDecoder{}
@@ -80,13 +79,6 @@ type DegeneracyProtocol struct {
 
 // Name implements engine.Named.
 func (p *DegeneracyProtocol) Name() string { return fmt.Sprintf("degeneracy[k=%d]", p.K) }
-
-func (p *DegeneracyProtocol) decoder() NeighborhoodDecoder {
-	if p.Decoder != nil {
-		return p.Decoder
-	}
-	return NewtonDecoder{}
-}
 
 // MessageBits returns the exact message size this protocol uses on graphs of
 // n nodes — both sides can compute it, which is what makes parsing possible.
@@ -121,122 +113,155 @@ func (p *DegeneracyProtocol) AppendLocalMessage(out *bits.Writer, n, id int, nbr
 	}
 }
 
-// vertexRecord is the referee's mutable copy of one message during pruning.
-type vertexRecord struct {
-	id   int
-	deg  int
-	sums []*big.Int
+// Reconstruct implements Algorithm 4 (the global function Γᵍₙ): repeatedly
+// pick a vertex of remaining degree ≤ K, decode its remaining neighborhood
+// from its power sums, record those edges, and peel the vertex off its
+// neighbors' records. Runs in O(n²·K) word operations with the Newton
+// decoder.
+func (p *DegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Graph, error) {
+	return peel(p, n, p.K, false, p.Decoder, msgs, "core: pruning stuck with %[1]d vertices left, k=%[2]d: %[3]w")
 }
 
-func (p *DegeneracyProtocol) parse(n int, msgs []bits.String) ([]*vertexRecord, error) {
+// peel is Algorithm 4 on machine words, the one referee of the forest,
+// degeneracy and generalized protocols. A message is (ID, deg, S_1..S_k)
+// at the public widths; with co, each S_q is followed by the
+// co-neighborhood's S̄_q. The sums are read into one accumulator per vertex
+// and side. The peel repeatedly takes a vertex x whose remaining degree is
+// ≤ k (with co, or whose remaining co-degree is), decodes its remaining
+// neighborhood (or co-neighborhood), records the edges, and takes x out of
+// the records of the vertices left: degrees drop and x^p leaves their sums
+// through the accumulator's subtraction, which turns sums that would go
+// below zero into an error, never a panic. Degree and co-degree only fall,
+// so a vertex stays prunable once it is, and the peel gets stuck — an
+// error formatted from stuck with the vertices left and k, wrapping
+// ErrDegeneracyExceeded — exactly when no elimination order exists,
+// whichever order it takes. The result must re-encode to msgs under local.
+func peel(local engine.Local, n, k int, co bool, dec NeighborhoodDecoder, msgs []bits.String, stuck string) (*graph.Graph, error) {
 	if len(msgs) != n {
 		return nil, fmt.Errorf("core: %d messages for n=%d", len(msgs), n)
 	}
+	if dec == nil {
+		dec = NewtonDecoder{}
+	}
+	sides := 1
+	if co {
+		sides = 2
+	}
+	// deg[v] is v's remaining degree and mark[u] == x puts u in the set
+	// decoded for x; the stack holds each vertex at most once.
+	ints := make([]int, 4*(n+1)+k+1)
+	deg, mark, widths := ints[:n+1], ints[n+1:2*(n+1)], ints[4*(n+1):]
+	stack, set := ints[2*(n+1):2*(n+1):3*(n+1)], ints[3*(n+1):3*(n+1):4*(n+1)]
+	flags := make([]bool, 2*(n+1))
+	removed, queued := flags[:n+1], flags[n+1:]
+	for q := 1; q <= k; q++ {
+		widths[q] = numeric.MaxPowerSumBits(n, q)
+	}
+	// accs[s*(n+1)+v] holds vertex v's sums over its neighborhood (s = 0)
+	// or its co-neighborhood (s = 1).
+	accs := make([]numeric.PowerSumAccumulator, sides*(n+1))
 	w := bits.Width(n)
-	recs := make([]*vertexRecord, n+1)
 	for i, m := range msgs {
+		v := i + 1
 		r := bits.NewReader(m)
-		id64, err := r.ReadUint(w)
+		id, err := r.ReadUint(w)
 		if err != nil {
-			return nil, fmt.Errorf("core: message %d: %w", i+1, err)
+			return nil, fmt.Errorf("core: message %d: %w", v, err)
 		}
-		deg64, err := r.ReadUint(w)
+		if int(id) != v {
+			return nil, fmt.Errorf("core: message %d claims ID %d", v, id)
+		}
+		d, err := r.ReadUint(w)
 		if err != nil {
-			return nil, fmt.Errorf("core: message %d: %w", i+1, err)
+			return nil, fmt.Errorf("core: message %d: %w", v, err)
 		}
-		id, deg := int(id64), int(deg64)
-		if id != i+1 {
-			return nil, fmt.Errorf("core: message %d claims ID %d", i+1, id)
+		if d >= uint64(n) {
+			return nil, fmt.Errorf("core: message %d: degree %d out of range", v, d)
 		}
-		if deg < 0 || deg >= n {
-			return nil, fmt.Errorf("core: message %d: degree %d out of range", i+1, deg)
+		deg[v] = int(d)
+		for s := 0; s < sides; s++ {
+			accs[s*(n+1)+v].Reset(n, k)
 		}
-		rec := &vertexRecord{id: id, deg: deg, sums: make([]*big.Int, p.K)}
-		for q := 1; q <= p.K; q++ {
-			s, err := r.ReadBigIntWidth(numeric.MaxPowerSumBits(n, q))
-			if err != nil {
-				return nil, fmt.Errorf("core: message %d sum %d: %w", i+1, q, err)
-			}
-			rec.sums[q-1] = s
-		}
-		if r.Remaining() != 0 {
-			return nil, fmt.Errorf("core: message %d has %d trailing bits", i+1, r.Remaining())
-		}
-		recs[id] = rec
-	}
-	return recs, nil
-}
-
-// Reconstruct implements Algorithm 4 (the global function Γᵍₙ): repeatedly
-// pick a vertex of remaining degree ≤ K, decode its remaining neighborhood
-// from its power sums, record those edges, and peel the vertex off by
-// updating its neighbors' records. Runs in O(n²·K) with the Newton decoder.
-func (p *DegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Graph, error) {
-	recs, err := p.parse(n, msgs)
-	if err != nil {
-		return nil, err
-	}
-	dec := p.decoder()
-	h := graph.New(n)
-	processed := make([]bool, n+1)
-	// Stack of candidates whose remaining degree may be ≤ K.
-	var stack []int
-	for v := 1; v <= n; v++ {
-		if recs[v].deg <= p.K {
-			stack = append(stack, v)
-		}
-	}
-	remaining := n
-	xp := new(big.Int)
-	for remaining > 0 {
-		// Pop a live candidate.
-		x := 0
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if !processed[c] && recs[c].deg <= p.K {
-				x = c
-				break
-			}
-		}
-		if x == 0 {
-			return nil, fmt.Errorf("core: pruning stuck with %d vertices left, k=%d: %w", remaining, p.K, ErrDegeneracyExceeded)
-		}
-		rec := recs[x]
-		nbrs, err := dec.DecodeNeighborhood(rec.deg, rec.sums, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: vertex %d: %w", x, err)
-		}
-		for _, v := range nbrs {
-			if v == x || processed[v] {
-				return nil, fmt.Errorf("core: vertex %d decoded invalid neighbor %d", x, v)
-			}
-			if err := h.AddEdgeErr(x, v); err != nil {
-				return nil, fmt.Errorf("core: vertex %d: %w", x, err)
-			}
-			// Peel x out of v's record: deg decreases, sums lose x^p.
-			nrec := recs[v]
-			nrec.deg--
-			if nrec.deg < 0 {
-				return nil, fmt.Errorf("core: vertex %d degree went negative", v)
-			}
-			for q := 1; q <= p.K; q++ {
-				xp.SetInt64(int64(x))
-				xp.Exp(xp, big.NewInt(int64(q)), nil)
-				nrec.sums[q-1].Sub(nrec.sums[q-1], xp)
-				if nrec.sums[q-1].Sign() < 0 {
-					return nil, fmt.Errorf("core: vertex %d power sum went negative", v)
+		for q := 1; q <= k; q++ {
+			for s := 0; s < sides; s++ {
+				if err := r.ReadLimbsWidth(accs[s*(n+1)+v].Sum(q), widths[q]); err != nil {
+					return nil, fmt.Errorf("core: message %d sum %d: %w", v, q, err)
 				}
 			}
-			if nrec.deg <= p.K {
-				stack = append(stack, v)
+		}
+		if r.Remaining() != 0 {
+			return nil, fmt.Errorf("core: message %d has %d trailing bits", v, r.Remaining())
+		}
+	}
+
+	h := graph.New(n)
+	left := n
+	push := func(u int) {
+		if !queued[u] && (deg[u] <= k || co && left-1-deg[u] <= k) {
+			queued[u] = true
+			stack = append(stack, u)
+		}
+	}
+	// drop takes x out of u's record on the side the edge {x, u} is on.
+	drop := func(x, u int, nbr bool) error {
+		acc := &accs[u]
+		if nbr {
+			if err := h.AddEdgeErr(x, u); err != nil {
+				return fmt.Errorf("core: vertex %d: %w", x, err)
+			}
+			deg[u]--
+		} else {
+			acc = &accs[n+1+u]
+		}
+		if deg[u] < 0 || !acc.TryRemove(x) {
+			return fmt.Errorf("core: peeling vertex %d takes vertex %d's degree or power sums below zero", x, u)
+		}
+		push(u)
+		return nil
+	}
+	for v := 1; v <= n; v++ {
+		push(v)
+	}
+	for left > 0 {
+		if len(stack) == 0 {
+			return nil, fmt.Errorf(stuck, left, k, ErrDegeneracyExceeded)
+		}
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		direct := deg[x] <= k
+		d, acc := deg[x], &accs[x]
+		if !direct {
+			d, acc = left-1-deg[x], &accs[n+1+x]
+		}
+		var err error
+		if set, err = dec.DecodeNeighborhood(set[:0], d, acc, n); err != nil {
+			return nil, fmt.Errorf("core: vertex %d: %w", x, err)
+		}
+		for _, u := range set {
+			if u < 1 || u > n || u == x || removed[u] {
+				return nil, fmt.Errorf("core: vertex %d decoded invalid neighbor %d", x, u)
+			}
+			mark[u] = x
+		}
+		removed[x] = true
+		left--
+		if !co {
+			for _, u := range set {
+				if err := drop(x, u, true); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
+		for u := 1; u <= n; u++ {
+			if !removed[u] {
+				if err := drop(x, u, (mark[u] == x) == direct); err != nil {
+					return nil, err
+				}
 			}
 		}
-		// x's record must now be fully consumed.
-		processed[x] = true
-		remaining--
 	}
-	if err := verifyEncoding(p, n, h, msgs); err != nil {
+	if err := verifyEncoding(local, n, h, msgs); err != nil {
 		return nil, err
 	}
 	return h, nil

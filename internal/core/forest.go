@@ -19,10 +19,12 @@ import (
 // repeatedly pruning a leaf — the sum field of a degree-1 vertex *is* its
 // unique neighbor's identifier, so no algebra is needed.
 //
-// It is operationally the same pruning as DegeneracyProtocol{K:1} but kept
-// separate because its decoder is the paper's direct argument rather than
-// the power-sum machinery, and because its transcript realizes the "< 4 log n
-// bits" claim exactly.
+// Its message is bit for bit DegeneracyProtocol{K: 1}'s, and its referee
+// is that protocol's peel at k = 1 (TestForestMessageIsDegeneracy1 pins
+// the equality the shared peel rests on). It keeps its own name, its
+// allocation-free local phase (one word sum, no accumulator) and its
+// VectorKernel, and its transcript realizes the "< 4 log n bits" claim
+// exactly.
 type ForestProtocol struct{}
 
 // Name implements engine.Named.
@@ -66,84 +68,14 @@ func (p ForestProtocol) VectorKernel(bool) lanes.Kernel {
 }
 
 // Reconstruct prunes leaves: a degree-1 vertex's sum field names its
-// neighbor; remove the leaf and update the neighbor's (degree, sum). It
-// reports an error if the messages are inconsistent with a forest — which is
-// exactly how the referee "decides whether the graph contains a cycle".
-func (ForestProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Graph, error) {
-	if len(msgs) != n {
-		return nil, fmt.Errorf("core: %d messages for n=%d", len(msgs), n)
-	}
-	w := bits.Width(n)
-	sumW := numeric.MaxPowerSumBits(n, 1)
-	deg := make([]int, n+1)
-	sum := make([]uint64, n+1)
-	for i, m := range msgs {
-		r := bits.NewReader(m)
-		id, err := r.ReadUint(w)
-		if err != nil {
-			return nil, fmt.Errorf("core: message %d: %w", i+1, err)
-		}
-		if int(id) != i+1 {
-			return nil, fmt.Errorf("core: message %d claims ID %d", i+1, id)
-		}
-		d, err := r.ReadUint(w)
-		if err != nil {
-			return nil, fmt.Errorf("core: message %d: %w", i+1, err)
-		}
-		s, err := r.ReadUint(sumW)
-		if err != nil {
-			return nil, fmt.Errorf("core: message %d: %w", i+1, err)
-		}
-		if r.Remaining() != 0 {
-			return nil, fmt.Errorf("core: message %d has trailing bits", i+1)
-		}
-		deg[i+1], sum[i+1] = int(d), s
-	}
-	h := graph.New(n)
-	processed := make([]bool, n+1)
-	var stack []int
-	for v := 1; v <= n; v++ {
-		if deg[v] <= 1 {
-			stack = append(stack, v)
-		}
-	}
-	remaining := n
-	for remaining > 0 {
-		x := 0
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if !processed[c] && deg[c] <= 1 {
-				x = c
-				break
-			}
-		}
-		if x == 0 {
-			return nil, fmt.Errorf("core: leaf pruning stuck with %d vertices: the graph contains a cycle: %w", remaining, ErrDegeneracyExceeded)
-		}
-		if deg[x] == 1 {
-			nb := int(sum[x])
-			if nb < 1 || nb > n || nb == x || processed[nb] {
-				return nil, fmt.Errorf("core: vertex %d names invalid neighbor %d", x, nb)
-			}
-			if err := h.AddEdgeErr(x, nb); err != nil {
-				return nil, err
-			}
-			deg[nb]--
-			sum[nb] -= uint64(x)
-			if deg[nb] <= 1 {
-				stack = append(stack, nb)
-			}
-		} else if sum[x] != 0 {
-			return nil, fmt.Errorf("core: isolated vertex %d has nonzero sum", x)
-		}
-		processed[x] = true
-		remaining--
-	}
-	if err := verifyEncoding(ForestProtocol{}, n, h, msgs); err != nil {
-		return nil, err
-	}
-	return h, nil
+// neighbor; remove the leaf and update the neighbor's (degree, sum). The
+// message is DegeneracyProtocol{K: 1}'s bit for bit, so this is that
+// protocol's peel at k = 1, whose decoder reads a singleton straight off
+// its sum. It reports an error if the messages are inconsistent with a
+// forest — which is exactly how the referee "decides whether the graph
+// contains a cycle".
+func (p ForestProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Graph, error) {
+	return peel(p, n, 1, false, nil, msgs, "core: leaf pruning stuck with %[1]d vertices: the graph contains a cycle: %[3]w")
 }
 
 var (

@@ -49,7 +49,7 @@ func sampleStride(name string, n int) uint64 {
 		}
 	case "degeneracy", "generalized":
 		if n >= 6 {
-			return 7 // big.Int power-sum arithmetic per node
+			return 7 // K multi-word power sums per node
 		}
 	}
 	return 1

@@ -1,10 +1,14 @@
 package engine_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"refereenet/internal/bits"
 	"refereenet/internal/canon"
 	"refereenet/internal/collide"
+	"refereenet/internal/core"
 	"refereenet/internal/engine"
 	"refereenet/internal/graph"
 )
@@ -331,6 +335,132 @@ func TestConnectivityQuotientIndependentCounts(t *testing.T) {
 		}
 		if st.Graphs != labelled || st.Accepted != brute || st.Rejected != labelled-brute || st.Errors != 0 {
 			t.Errorf("%s n=%d: weighted vector sweep %+v, want %d of %d accepted", tc.protocol, n, st, brute, labelled)
+		}
+	}
+}
+
+// peelBrute reports whether repeatedly deleting a vertex of remaining
+// degree ≤ k (with co, or of remaining co-degree ≤ k) empties the graph:
+// degeneracy ≤ k, or generalized degeneracy ≤ k. Deleting a vertex only
+// lowers the others' degrees and co-degrees, so a prunable vertex stays
+// prunable and the greedy order cannot matter.
+func peelBrute(adj [][]bool, k int, co bool) bool {
+	n := len(adj)
+	gone := make([]bool, n)
+	for left := n; left > 0; left-- {
+		x := -1
+		for v := 0; v < n && x < 0; v++ {
+			if gone[v] {
+				continue
+			}
+			d := 0
+			for u := 0; u < n; u++ {
+				if !gone[u] && adj[v][u] {
+					d++
+				}
+			}
+			if d <= k || co && left-1-d <= k {
+				x = v
+			}
+		}
+		if x < 0 {
+			return false
+		}
+		gone[x] = true
+	}
+	return true
+}
+
+// theorem5Quotient[n-1] is the number of labelled n-vertex graphs of
+// degeneracy ≤ k for k = 1…4, then of generalized degeneracy ≤ k for
+// k = 1, 2, from peelBrute over the isomorphism classes weighted by orbit
+// size. The k = 1 column is the forests, OEIS A001858.
+var theorem5Quotient = [9][6]uint64{
+	{1, 1, 1, 1, 1, 1},
+	{2, 2, 2, 2, 2, 2},
+	{7, 8, 8, 8, 8, 8},
+	{38, 63, 64, 64, 64, 64},
+	{291, 943, 1023, 1024, 1012, 1024},
+	{2932, 25324, 32536, 32767, 30144, 32768},
+	{36961, 1132422, 2032720, 2096521, 1507956, 2097152},
+	{561948, 78012107, 242025288, 267923849, 111270856, 266490926},
+	{10026505, 7727370119, 52071246155, 68073010211, 11044851848, 64404731224},
+}
+
+// TestTheorem5QuotientIndependentCounts runs Theorem 5's referee on every
+// isomorphism class representative up to n = 9 (n = 8 under -short): the
+// transcript of each of DegeneracyProtocol{K: 1…4}, ForestProtocol and
+// GeneralizedDegeneracyProtocol{K: 1, 2} must reconstruct the
+// representative exactly where peelBrute accepts it and fail with
+// core.ErrDegeneracyExceeded everywhere else, and the accepted orbit
+// weights must sum to theorem5Quotient. Forest is the k = 1 column.
+func TestTheorem5QuotientIndependentCounts(t *testing.T) {
+	top := 9
+	if testing.Short() {
+		top = 8
+	}
+	type column struct {
+		name string
+		p    interface {
+			engine.Reconstructor
+			engine.BufferedLocal
+		}
+		k     int
+		co    bool
+		want  int // column of theorem5Quotient
+		count uint64
+	}
+	for n := 1; n <= top; n++ {
+		cols := []*column{{name: "forest", p: core.ForestProtocol{}, k: 1}}
+		for k := 1; k <= 4; k++ {
+			cols = append(cols, &column{name: fmt.Sprintf("degeneracy k=%d", k), p: &core.DegeneracyProtocol{K: k}, k: k, want: k - 1})
+		}
+		for k := 1; k <= 2; k++ {
+			cols = append(cols, &column{name: fmt.Sprintf("generalized k=%d", k), p: &core.GeneralizedDegeneracyProtocol{K: k}, k: k, co: true, want: 3 + k})
+		}
+		classes, err := canon.Classes(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := make([][]bool, n)
+		for i := range adj {
+			adj[i] = make([]bool, n)
+		}
+		msgs, nbrs := make([]bits.String, n), make([][]int, n+1)
+		var w bits.Writer
+		var arena []byte
+		for _, c := range classes {
+			for e := 0; e < n*(n-1)/2; e++ {
+				u, v := graph.EdgePair(n, e)
+				on := c.Mask>>uint(e)&1 == 1
+				adj[u-1][v-1], adj[v-1][u-1] = on, on
+			}
+			g := graph.FromEdgeMask(n, c.Mask)
+			for v := 1; v <= n; v++ {
+				nbrs[v] = g.Neighbors(v)
+			}
+			for _, col := range cols {
+				arena = arena[:0]
+				for v := 1; v <= n; v++ {
+					w.Reset()
+					col.p.AppendLocalMessage(&w, n, v, nbrs[v])
+					msgs[v-1], arena = w.AppendTo(arena)
+				}
+				h, err := col.p.Reconstruct(n, msgs)
+				switch ok := peelBrute(adj, col.k, col.co); {
+				case ok && (err != nil || !h.Equal(g)):
+					t.Fatalf("n=%d %s mask %#x: brute force peels it, referee: %v", n, col.name, c.Mask, err)
+				case !ok && !errors.Is(err, core.ErrDegeneracyExceeded):
+					t.Fatalf("n=%d %s mask %#x: brute force gets stuck, referee: %v", n, col.name, c.Mask, err)
+				case ok:
+					col.count += c.Weight
+				}
+			}
+		}
+		for _, col := range cols {
+			if want := theorem5Quotient[n-1][col.want]; col.count != want {
+				t.Errorf("n=%d %s: %d, want %d", n, col.name, col.count, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 )
 
 // accumInlineWords is the accumulator's inline storage: k sums plus one
@@ -57,19 +58,32 @@ func (a *PowerSumAccumulator) buf() []uint64 {
 }
 
 // Add folds the IDs into every tracked sum: S_p += Σ x^p for p = 1..k.
-func (a *PowerSumAccumulator) Add(ids ...int) { a.fold(ids, false) }
+// It panics if a sum outgrows its words, which IDs in 1..n never cause.
+func (a *PowerSumAccumulator) Add(ids ...int) {
+	if !a.fold(ids, false) {
+		panic(fmt.Sprintf("numeric: power sums out of %d words", a.words))
+	}
+}
 
 // Remove takes the IDs back out of every tracked sum: S_p -= Σ x^p. Each ID
-// must have been added before.
-func (a *PowerSumAccumulator) Remove(ids ...int) { a.fold(ids, true) }
+// must have been added before; it panics otherwise.
+func (a *PowerSumAccumulator) Remove(ids ...int) {
+	if !a.TryRemove(ids...) {
+		panic(fmt.Sprintf("numeric: power sums out of %d words", a.words))
+	}
+}
+
+// TryRemove is Remove on sums that nobody vouches for, the referee's peel
+// of a received message: it reports false, leaving the sums unspecified,
+// where Remove would panic because a sum would drop below zero.
+func (a *PowerSumAccumulator) TryRemove(ids ...int) bool { return a.fold(ids, true) }
 
 // fold builds each x^p by repeated multi-word multiplication and adds it
 // to, or subtracts it from, S_p. The lowest word of x^p stays in a
 // register; the words above it, if any, live in the scratch after the sums.
 // Subtraction adds the one's complement with a carry-in of one, so no borrow
-// shows as a carry-out of one. It panics on overflow or underflow, which IDs
-// in 1..n with balanced Removes never cause.
-func (a *PowerSumAccumulator) fold(ids []int, sub bool) {
+// shows as a carry-out of one. It reports false on overflow or underflow.
+func (a *PowerSumAccumulator) fold(ids []int, sub bool) bool {
 	buf, w := a.buf(), a.words
 	sums, high := buf[:a.k*w], buf[a.k*w+1:(a.k+1)*w]
 	var flip, want uint64
@@ -100,15 +114,20 @@ func (a *PowerSumAccumulator) fold(ids []int, sub bool) {
 			bad |= carry | (c ^ want)
 		}
 	}
-	if bad != 0 {
-		panic(fmt.Sprintf("numeric: power sums out of %d words", w))
-	}
+	return bad == 0
+}
+
+// Equal reports whether both accumulators hold the same k sums at the same
+// word width.
+func (a *PowerSumAccumulator) Equal(b *PowerSumAccumulator) bool {
+	return a.k == b.k && a.words == b.words && slices.Equal(a.buf()[:a.k*a.words], b.buf()[:b.k*b.words])
 }
 
 // Sum returns S_p (p in 1..k) as little-endian 64-bit words. The slice
 // aliases the accumulator and is invalidated by the next Reset, Add or
 // Remove; write it out (bits.Writer.WriteLimbsWidth) before touching the
-// accumulator again.
+// accumulator again. Writes through it set the sum: the referee reads a
+// message's sums straight into it (bits.Reader.ReadLimbsWidth).
 func (a *PowerSumAccumulator) Sum(p int) []uint64 {
 	if p < 1 || p > a.k {
 		panic(fmt.Sprintf("numeric: sum index %d out of range [1,%d]", p, a.k))

@@ -2,22 +2,28 @@ package numeric
 
 import (
 	"fmt"
-	"math/big"
-	"strings"
+	mathbits "math/bits"
 )
 
 // Lookup is the paper's Lemma 3 decoder: a precomputed table mapping the
-// power-sum fingerprint of every subset of {1..n} of size ≤ k to the subset
-// itself. Query time is a hash lookup; the table has Σ_{i≤k} C(n,i) entries,
-// so this is practical only for small n^k. Wright's theorem guarantees the
-// fingerprints are distinct, which NewLookup verifies as it builds.
+// power sums of every subset of {1..n} of size ≤ k to the subset itself.
+// Query time is a hash lookup; the table has Σ_{i≤k} C(n,i) entries, so
+// this is practical only for small n^k. Wright's theorem guarantees the
+// keys are distinct, which NewLookup verifies as it builds.
 type Lookup struct {
-	n, k  int
-	table map[string][]int
+	n, k, words int
+	table       map[lookupKey][]int
+}
+
+// lookupKey is a subset's size and its k power sums at the table's word
+// width: a fixed comparable value, so the words index the map as they are.
+type lookupKey struct {
+	d    int
+	sums [accumInlineWords]uint64
 }
 
 // NewLookup enumerates all subsets of {1..n} with at most k elements and
-// indexes them by power-sum fingerprint. maxEntries guards against runaway
+// indexes them by their power sums. maxEntries guards against runaway
 // memory (0 means no guard); exceeding it returns an error.
 func NewLookup(n, k, maxEntries int) (*Lookup, error) {
 	total := 0
@@ -31,62 +37,75 @@ func NewLookup(n, k, maxEntries int) (*Lookup, error) {
 			return nil, fmt.Errorf("numeric: lookup table needs %d+ entries, cap %d", total, maxEntries)
 		}
 	}
-	l := &Lookup{n: n, k: k, table: make(map[string][]int, total)}
+	var acc PowerSumAccumulator
+	acc.Reset(n, k)
+	if k*acc.words > accumInlineWords {
+		return nil, fmt.Errorf("numeric: lookup keys for n=%d, k=%d exceed %d words", n, k, accumInlineWords)
+	}
+	l := &Lookup{n: n, k: k, words: acc.words, table: make(map[lookupKey][]int, total)}
 	subset := make([]int, 0, k)
-	var rec func(start, remaining int)
-	rec = func(start, remaining int) {
-		key := fingerprint(len(subset), PowerSums(subset, k))
+	var rec func(start int)
+	rec = func(start int) {
+		key, _ := l.key(len(subset), &acc)
 		if prev, dup := l.table[key]; dup {
-			// Cannot happen by Wright's theorem; if it does, the fingerprint
-			// function is broken.
-			panic(fmt.Sprintf("numeric: fingerprint collision between %v and %v", prev, subset))
+			// Cannot happen by Wright's theorem; if it does, the key is broken.
+			panic(fmt.Sprintf("numeric: power sums of %v and %v collide", prev, subset))
 		}
 		l.table[key] = append([]int(nil), subset...)
-		if remaining == 0 {
+		if len(subset) == k {
 			return
 		}
 		for v := start; v <= n; v++ {
 			subset = append(subset, v)
-			rec(v+1, remaining-1)
+			acc.Add(v)
+			rec(v + 1)
+			acc.Remove(v)
 			subset = subset[:len(subset)-1]
 		}
 	}
-	rec(1, k)
+	rec(1)
 	return l, nil
 }
 
-// Decode returns the unique subset of size d with the given power sums
-// (first k entries used), or an error when no such subset exists.
-func (l *Lookup) Decode(d int, sums []*big.Int) ([]int, error) {
+// Decode appends to dst the unique subset of size d whose first k power
+// sums are those in sums, or returns an error when no such subset exists.
+func (l *Lookup) Decode(dst []int, d int, sums *PowerSumAccumulator) ([]int, error) {
 	if d > l.k {
-		return nil, fmt.Errorf("numeric: degree %d exceeds table bound k=%d", d, l.k)
+		return dst, fmt.Errorf("numeric: degree %d exceeds table bound k=%d", d, l.k)
 	}
-	if len(sums) < l.k {
-		return nil, fmt.Errorf("numeric: need %d sums, have %d", l.k, len(sums))
+	if sums.k < l.k {
+		return dst, fmt.Errorf("numeric: need %d sums, have %d", l.k, sums.k)
 	}
-	set, ok := l.table[fingerprint(d, sums[:l.k])]
-	if !ok {
-		return nil, fmt.Errorf("numeric: no %d-subset of [1,%d] has these power sums", d, l.n)
+	key, ok := l.key(d, sums)
+	set, found := l.table[key]
+	if !ok || !found {
+		return dst, fmt.Errorf("numeric: no %d-subset of [1,%d] has these power sums", d, l.n)
 	}
-	if len(set) != d {
-		return nil, fmt.Errorf("numeric: table entry has size %d, want %d", len(set), d)
-	}
-	return append([]int(nil), set...), nil
+	return append(dst, set...), nil
 }
 
 // Entries returns the number of subsets indexed.
 func (l *Lookup) Entries() int { return len(l.table) }
 
-func fingerprint(d int, sums []*big.Int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", d)
-	for _, s := range sums {
-		b.WriteString(s.Text(62))
-		b.WriteByte(',')
+// key packs d and a's first k sums at the table's word width; it reports
+// false when a sum needs more words, so no subset of {1..n} has it.
+func (l *Lookup) key(d int, a *PowerSumAccumulator) (lookupKey, bool) {
+	key := lookupKey{d: d}
+	for p := 1; p <= l.k; p++ {
+		for i, w := range a.Sum(p) {
+			if i < l.words {
+				key.sums[(p-1)*l.words+i] = w
+			} else if w != 0 {
+				return key, false
+			}
+		}
 	}
-	return b.String()
+	return key, true
 }
 
+// binomialChecked returns C(n, k), or an error past 2^40. It walks
+// C(n, i+1) = C(n, i)·(n−i)/(i+1) up to min(k, n−k), where the values only
+// grow, so the bound checked at each step bounds the result.
 func binomialChecked(n, k int) (int, error) {
 	if k < 0 || n < 0 {
 		return 0, fmt.Errorf("numeric: binomial(%d,%d) undefined", n, k)
@@ -94,56 +113,15 @@ func binomialChecked(n, k int) (int, error) {
 	if k > n {
 		return 0, nil
 	}
-	r := big.NewInt(1)
-	for i := 0; i < k; i++ {
-		r.Mul(r, big.NewInt(int64(n-i)))
-		r.Div(r, big.NewInt(int64(i+1)))
-	}
-	if !r.IsInt64() || r.Int64() > 1<<40 {
-		return 0, fmt.Errorf("numeric: binomial(%d,%d) too large", n, k)
-	}
-	return int(r.Int64()), nil
-}
-
-// Binomial returns C(n,k) as a big integer (exact for all inputs).
-func Binomial(n, k int) *big.Int {
-	if k < 0 || k > n {
-		return new(big.Int)
-	}
-	r := big.NewInt(1)
-	for i := 0; i < k; i++ {
-		r.Mul(r, big.NewInt(int64(n-i)))
-		r.Div(r, big.NewInt(int64(i+1)))
-	}
-	return r
-}
-
-// Combinations calls yield for every k-subset of {1..n} in lexicographic
-// order, stopping early if yield returns false. The slice passed to yield is
-// reused; callers must copy it to retain it.
-func Combinations(n, k int, yield func(subset []int) bool) {
-	if k < 0 || k > n {
-		return
-	}
-	subset := make([]int, k)
-	for i := range subset {
-		subset[i] = i + 1
-	}
-	for {
-		if !yield(subset) {
-			return
+	r := uint64(1)
+	for i := 0; i < min(k, n-k); i++ {
+		hi, lo := mathbits.Mul64(r, uint64(n-i))
+		if hi >= uint64(i+1) {
+			return 0, fmt.Errorf("numeric: binomial(%d,%d) too large", n, k)
 		}
-		// Advance to the next combination.
-		i := k - 1
-		for i >= 0 && subset[i] == n-(k-1-i) {
-			i--
-		}
-		if i < 0 {
-			return
-		}
-		subset[i]++
-		for j := i + 1; j < k; j++ {
-			subset[j] = subset[j-1] + 1
+		if r, _ = mathbits.Div64(hi, lo, uint64(i+1)); r > 1<<40 {
+			return 0, fmt.Errorf("numeric: binomial(%d,%d) too large", n, k)
 		}
 	}
+	return int(r), nil
 }

@@ -2,146 +2,123 @@ package numeric
 
 import (
 	"fmt"
-	"math/big"
+	mathbits "math/bits"
 )
 
-// RecoverSet inverts power sums: given d = |S| and the sums
-// (S_1, ..., S_d) with S_p = Σ_{x∈S} x^p for a set S of d *distinct*
-// integers in [1, maxID], it returns S sorted ascending.
+// decodeField is the prime field RecoverSet works in. Any prime above n is
+// exact (see RecoverSet); 2^61 − 1 is above every n a message can carry.
+var decodeField = Field{P: Mersenne61}
+
+// RecoverSet inverts power sums: it appends to dst, ascending, the d-subset
+// S of [1, n] whose power sums S_p = Σ_{x∈S} x^p are sums.Sum(p) for every
+// p ≤ k, where sums was Reset for (n, k), or returns an error when no
+// d-subset has them. By Wright's theorem (Theorem 4 in the paper) the first
+// d sums already pin S down.
 //
-// By Wright's theorem (Theorem 4 in the paper) the solution is unique. The
-// algorithm is Newton's identities — power sums to elementary symmetric
-// polynomials — followed by integer root extraction of the monic polynomial
-// Π (z - x_j) over the candidate range; total cost O(maxID · d) big-int ops.
+// The sums are machine words, and so is the arithmetic. A singleton is its
+// own first sum, the forest protocol's direct argument. Otherwise Newton's
+// identities,
 //
-// Callers with k > d available sums should pass only the first d; the rest
-// are redundant for decoding (they matter only for uniqueness across
-// different set sizes, which the explicit degree d already pins down).
-func RecoverSet(d int, sums []*big.Int, maxID int) ([]int, error) {
-	if d < 0 {
-		return nil, fmt.Errorf("numeric: negative set size %d", d)
+//	m·e_m = Σ_{i=1..m} (−1)^{i−1} e_{m−i} S_i,
+//
+// turn S_1..S_d into the elementary symmetric polynomials modulo the prime
+// q = 2^61 − 1, and z runs over [1, n] testing P(z) = Π_{x∈S} (z − x) ≡ 0
+// by finite differences, d additions per step. The test is exact: for z
+// outside S every factor z − x is a nonzero integer of magnitude below
+// n < q, so the prime q does not divide their product. Sums that belong to
+// no d-subset can still produce d roots; the set found is therefore summed
+// again and compared word for word, so garbage is an error at every width.
+func RecoverSet(dst []int, d int, sums *PowerSumAccumulator, n int) ([]int, error) {
+	if d < 0 || d > n || d > sums.k {
+		return dst, fmt.Errorf("numeric: cannot decode a %d-subset of [1,%d] from %d sums", d, n, sums.k)
 	}
-	if d == 0 {
-		return nil, nil
-	}
-	if len(sums) < d {
-		return nil, fmt.Errorf("numeric: need %d power sums, have %d", d, len(sums))
-	}
-	elem, err := NewtonElementary(d, sums[:d])
-	if err != nil {
-		return nil, err
-	}
-	// Monic polynomial P(z) = z^d - e1 z^{d-1} + ... + (-1)^d e_d.
-	coeffs := make([]*big.Int, d+1)
-	coeffs[0] = big.NewInt(1)
-	for i := 1; i <= d; i++ {
-		c := new(big.Int).Set(elem[i])
-		if i%2 == 1 {
-			c.Neg(c)
+	start := len(dst)
+	switch d {
+	case 0:
+	case 1:
+		if s := sums.Sum(1); s[0] >= 1 && s[0] <= uint64(n) {
+			dst = append(dst, int(s[0]))
 		}
-		coeffs[i] = c
+	default:
+		dst = appendRoots(dst, d, sums, n)
 	}
-	roots, err := IntegerRoots(coeffs, 1, maxID)
-	if err != nil {
-		return nil, err
+	found := dst[start:]
+	var check PowerSumAccumulator
+	check.Reset(n, sums.k)
+	if len(found) == d {
+		check.Add(found...)
 	}
-	if len(roots) != d {
-		return nil, fmt.Errorf("numeric: recovered %d roots, want %d (sums inconsistent with a %d-subset of [1,%d])", len(roots), d, d, maxID)
+	if len(found) != d || !check.Equal(sums) {
+		return dst[:start], fmt.Errorf("numeric: the sums are not those of a %d-subset of [1,%d]", d, n)
 	}
-	return roots, nil
+	return dst, nil
 }
 
-// NewtonElementary converts power sums (p_1..p_d) into elementary symmetric
-// polynomials (e_0=1, e_1, ..., e_d) via Newton's identities:
-//
-//	m·e_m = Σ_{i=1..m} (-1)^{i-1} e_{m-i} p_i.
-//
-// All divisions must be exact for integer inputs that really are power sums
-// of an integer multiset; a non-exact division reports an error (corrupt or
-// adversarial message).
-func NewtonElementary(d int, p []*big.Int) ([]*big.Int, error) {
-	if len(p) < d {
-		return nil, fmt.Errorf("numeric: need %d power sums, have %d", d, len(p))
+// appendRoots appends the z in [1, n] with P(z) ≡ 0 (mod q), at most d of
+// them, where P is the monic degree-d polynomial whose roots have the power
+// sums S_1..S_d.
+func appendRoots(dst []int, d int, sums *PowerSumAccumulator, n int) []int {
+	f := decodeField
+	var stack [4 * 16]uint64
+	scratch := stack[:]
+	if 4*(d+1) > len(stack) {
+		scratch = make([]uint64, 4*(d+1))
 	}
-	e := make([]*big.Int, d+1)
-	e[0] = big.NewInt(1)
-	acc := new(big.Int)
-	term := new(big.Int)
+	s, e, inv, v := scratch[:d+1], scratch[d+1:2*(d+1)], scratch[2*(d+1):3*(d+1)], scratch[3*(d+1):4*(d+1)]
+	// e_m by Newton's identities; 1/m by inv(m) = −⌊q/m⌋·inv(q mod m).
+	e[0], inv[1] = 1, 1
 	for m := 1; m <= d; m++ {
-		acc.SetInt64(0)
+		if m > 1 {
+			inv[m] = f.Mul(f.P-f.P/uint64(m), inv[f.P%uint64(m)])
+		}
+		s[m] = reduce(f, sums.Sum(m))
+		var acc uint64
 		for i := 1; i <= m; i++ {
-			term.Mul(e[m-i], p[i-1])
+			t := f.Mul(e[m-i], s[i])
 			if i%2 == 1 {
-				acc.Add(acc, term)
+				acc = f.Add(acc, t)
 			} else {
-				acc.Sub(acc, term)
+				acc = f.Sub(acc, t)
 			}
 		}
-		q, r := new(big.Int).QuoRem(acc, big.NewInt(int64(m)), new(big.Int))
-		if r.Sign() != 0 {
-			return nil, fmt.Errorf("numeric: Newton identity for e_%d does not divide evenly: %v / %d", m, acc, m)
-		}
-		e[m] = q
+		e[m] = f.Mul(acc, inv[m])
 	}
-	return e, nil
+	// v[i] = P(1+i) by Horner, then v[i] = Δ^i P(1): stepping z to z+1 is
+	// v[i] += v[i+1].
+	for i := range v {
+		z, val := uint64(i+1), uint64(1)
+		for m := 1; m <= d; m++ {
+			val = f.Mul(val, z)
+			if m%2 == 1 {
+				val = f.Sub(val, e[m])
+			} else {
+				val = f.Add(val, e[m])
+			}
+		}
+		v[i] = val
+	}
+	for j := 1; j <= d; j++ {
+		for i := d; i >= j; i-- {
+			v[i] = f.Sub(v[i], v[i-1])
+		}
+	}
+	for z, left := 1, d; z <= n && left > 0; z++ {
+		if v[0] == 0 {
+			dst = append(dst, z)
+			left--
+		}
+		for i := 0; i < d; i++ {
+			v[i] = f.Add(v[i], v[i+1])
+		}
+	}
+	return dst
 }
 
-// IntegerRoots returns the roots of the monic integer polynomial with
-// coefficients coeffs (leading first) that lie in [lo, hi], in ascending
-// order, deflating each root as it is found. Repeated roots are reported as
-// many times as their multiplicity. An inexact deflation can't happen for a
-// true root (remainder is the evaluation, which is zero).
-func IntegerRoots(coeffs []*big.Int, lo, hi int) ([]int, error) {
-	if len(coeffs) == 0 || coeffs[0].Sign() == 0 {
-		return nil, fmt.Errorf("numeric: polynomial must be monic with nonzero leading coefficient")
+// reduce returns the little-endian words' value mod f.P.
+func reduce(f Field, words []uint64) uint64 {
+	var r uint64
+	for i := len(words) - 1; i >= 0; i-- {
+		_, r = mathbits.Div64(r, words[i], f.P)
 	}
-	cur := make([]*big.Int, len(coeffs))
-	for i, c := range coeffs {
-		cur[i] = new(big.Int).Set(c)
-	}
-	var roots []int
-	val := new(big.Int)
-	z := new(big.Int)
-	for cand := lo; cand <= hi && len(cur) > 1; cand++ {
-		for {
-			// Horner evaluation of cur at cand.
-			z.SetInt64(int64(cand))
-			val.Set(cur[0])
-			for i := 1; i < len(cur); i++ {
-				val.Mul(val, z)
-				val.Add(val, cur[i])
-			}
-			if val.Sign() != 0 {
-				break
-			}
-			roots = append(roots, cand)
-			// Synthetic division by (z - cand).
-			next := make([]*big.Int, len(cur)-1)
-			next[0] = new(big.Int).Set(cur[0])
-			for i := 1; i < len(cur)-1; i++ {
-				next[i] = new(big.Int).Mul(next[i-1], z)
-				next[i].Add(next[i], cur[i])
-			}
-			cur = next
-			if len(cur) == 1 {
-				break
-			}
-		}
-	}
-	return roots, nil
-}
-
-// EvalPoly evaluates the integer polynomial (leading coefficient first) at x.
-func EvalPoly(coeffs []*big.Int, x int64) *big.Int {
-	val := new(big.Int)
-	if len(coeffs) == 0 {
-		return val
-	}
-	z := big.NewInt(x)
-	val.Set(coeffs[0])
-	for i := 1; i < len(coeffs); i++ {
-		val.Mul(val, z)
-		val.Add(val, coeffs[i])
-	}
-	return val
+	return r
 }

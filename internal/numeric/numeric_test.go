@@ -1,7 +1,7 @@
 package numeric
 
 import (
-	"math/big"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -73,27 +73,36 @@ func TestMaxPowerSumBits(t *testing.T) {
 	}
 }
 
+// sumsOf returns the accumulator RecoverSet reads: set's k power sums,
+// Reset for n.
+func sumsOf(n, k int, set []int) *PowerSumAccumulator {
+	acc := new(PowerSumAccumulator)
+	acc.Reset(n, k)
+	acc.Add(set...)
+	return acc
+}
+
 func TestNewtonElementary(t *testing.T) {
-	// Set {1,2,3}: p1=6, p2=14, p3=36; e1=6, e2=11, e3=6.
-	p := []*big.Int{big.NewInt(6), big.NewInt(14), big.NewInt(36)}
-	e, err := NewtonElementary(3, p)
-	if err != nil {
-		t.Fatal(err)
+	// Set {1,2,3}: p1=6, p2=14, p3=36; Newton's identities give e1=6,
+	// e2=11, e3=6, and P(z) = (z−1)(z−2)(z−3).
+	acc := sumsOf(10, 3, nil)
+	for p, v := range []uint64{6, 14, 36} {
+		acc.Sum(p + 1)[0] = v
 	}
-	want := []int64{1, 6, 11, 6}
-	for i, w := range want {
-		if e[i].Int64() != w {
-			t.Errorf("e_%d = %v, want %d", i, e[i], w)
-		}
+	got, err := RecoverSet(nil, 3, acc, 10)
+	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("decoded %v, %v; want [1 2 3]", got, err)
 	}
 }
 
 func TestNewtonElementaryInexact(t *testing.T) {
 	// p1=1, p2=2 is not the power sums of any integer multiset of size 2:
-	// e2 = (e1*p1 - p2)/2 = (1-2)/2 not integral.
-	p := []*big.Int{big.NewInt(1), big.NewInt(2)}
-	if _, err := NewtonElementary(2, p); err == nil {
-		t.Error("expected inexact-division error")
+	// e2 = (e1*p1 - p2)/2 is not integral. Modulo a prime the division
+	// goes through, so the re-summed answer is what must reject it.
+	acc := sumsOf(10, 2, nil)
+	acc.Sum(1)[0], acc.Sum(2)[0] = 1, 2
+	if got, err := RecoverSet(nil, 2, acc, 10); err == nil {
+		t.Errorf("decoded %v, want an error", got)
 	}
 }
 
@@ -107,18 +116,46 @@ func TestRecoverSetRoundTrip(t *testing.T) {
 		for i := 0; i < d; i++ {
 			set[i] = perm[i] + 1
 		}
-		sums := PowerSums(set, d)
-		got, err := RecoverSet(d, sums, n)
+		got, err := RecoverSet(nil, d, sumsOf(n, d, set), n)
 		if err != nil {
 			t.Fatalf("n=%d set=%v: %v", n, set, err)
 		}
 		sort.Ints(set)
-		if len(got) != len(set) {
+		if len(got) != len(set) || (d > 0 && !reflect.DeepEqual(got, set)) {
 			t.Fatalf("recovered %v, want %v", got, set)
 		}
-		for i := range set {
-			if got[i] != set[i] {
-				t.Fatalf("recovered %v, want %v", got, set)
+	}
+}
+
+// TestRecoverSetWide decodes random d-subsets whose sums span several
+// words: (n, k) = (1024, 6) and (16384, 5) (the 85-bit sums of experiment
+// E2), and the adaptive protocol's k = 2(n−1) at n = 64, d up to 63, whose
+// sums are 763 bits wide.
+func TestRecoverSetWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct{ n, k, maxD int }{{1024, 6, 6}, {16384, 5, 5}, {64, 126, 63}} {
+		for trial := 0; trial < 40; trial++ {
+			d := rng.Intn(c.maxD + 1)
+			if trial == 0 {
+				d = c.maxD
+			}
+			set := rng.Perm(c.n)[:d]
+			for i := range set {
+				set[i]++
+			}
+			sums := sumsOf(c.n, c.k, set)
+			got, err := RecoverSet([]int{-1}, d, sums, c.n)
+			sort.Ints(set)
+			if err != nil || got[0] != -1 || !reflect.DeepEqual(got[1:], set) {
+				t.Fatalf("n=%d k=%d d=%d: decoded %v, %v; want [-1] + %v", c.n, c.k, d, got, err, set)
+			}
+			// One unit off in the widest sum's top word is no set's sums.
+			top := sums.Sum(c.k)
+			top[len(top)-1] ^= 1
+			if d > 0 {
+				if got, err := RecoverSet(nil, d, sums, c.n); err == nil {
+					t.Fatalf("n=%d k=%d d=%d: corrupted sums decoded to %v", c.n, c.k, d, got)
+				}
 			}
 		}
 	}
@@ -126,41 +163,36 @@ func TestRecoverSetRoundTrip(t *testing.T) {
 
 func TestRecoverSetRejectsGarbage(t *testing.T) {
 	// Sums of {1,2} but degree claimed 3.
-	sums := PowerSums([]int{1, 2}, 3)
-	if _, err := RecoverSet(3, sums, 10); err == nil {
+	if _, err := RecoverSet(nil, 3, sumsOf(10, 3, []int{1, 2}), 10); err == nil {
 		t.Error("expected error for wrong degree")
 	}
 	// Out-of-range root: set {15} with maxID 10.
-	sums2 := PowerSums([]int{15}, 1)
-	if _, err := RecoverSet(1, sums2, 10); err == nil {
+	if _, err := RecoverSet(nil, 1, sumsOf(20, 1, []int{15}), 10); err == nil {
 		t.Error("expected error for out-of-range element")
+	}
+	// A repeated root: the multiset {2, 5, 5}.
+	acc := sumsOf(10, 3, nil)
+	for p, v := range []uint64{12, 54, 258} {
+		acc.Sum(p + 1)[0] = v
+	}
+	if got, err := RecoverSet(nil, 3, acc, 10); err == nil {
+		t.Errorf("multiset sums decoded to %v", got)
+	}
+	// More sums than the degree needs: the extra ones are checked too.
+	acc = sumsOf(10, 3, []int{4})
+	acc.Sum(3)[0]++
+	if got, err := RecoverSet(nil, 1, acc, 10); err == nil {
+		t.Errorf("inconsistent S_3 decoded to %v", got)
 	}
 }
 
 func TestRecoverSetEmpty(t *testing.T) {
-	got, err := RecoverSet(0, nil, 10)
+	got, err := RecoverSet(nil, 0, sumsOf(10, 2, nil), 10)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty set should decode to empty: %v, %v", got, err)
 	}
-}
-
-func TestIntegerRoots(t *testing.T) {
-	// (z-2)(z-5)(z-5) = z^3 -12z^2 +45z -50: repeated root reported twice.
-	coeffs := []*big.Int{big.NewInt(1), big.NewInt(-12), big.NewInt(45), big.NewInt(-50)}
-	roots, err := IntegerRoots(coeffs, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(roots, []int{2, 5, 5}) {
-		t.Errorf("roots = %v, want [2 5 5]", roots)
-	}
-}
-
-func TestEvalPoly(t *testing.T) {
-	// z^2 - 3z + 2 at z=5 → 12.
-	coeffs := []*big.Int{big.NewInt(1), big.NewInt(-3), big.NewInt(2)}
-	if got := EvalPoly(coeffs, 5); got.Int64() != 12 {
-		t.Errorf("eval = %v, want 12", got)
+	if _, err := RecoverSet(nil, 0, sumsOf(10, 2, []int{3}), 10); err == nil {
+		t.Error("nonzero sums should not decode to the empty set")
 	}
 }
 
@@ -173,7 +205,7 @@ func TestWrightUniquenessExhaustive(t *testing.T) {
 	var rec func(start int)
 	rec = func(start int) {
 		if len(subset) <= k {
-			key := fingerprint(len(subset), PowerSums(subset, k))
+			key := fmt.Sprint(len(subset), PowerSums(subset, k))
 			if prev, ok := seen[key]; ok {
 				t.Fatalf("collision: %v and %v share power sums", prev, subset)
 			}
@@ -206,23 +238,20 @@ func TestLookupMatchesNewton(t *testing.T) {
 			set[i] = perm[i] + 1
 		}
 		sort.Ints(set)
-		sums := PowerSums(set, k)
-		a, err := l.Decode(d, sums)
+		sums := sumsOf(n, k, set)
+		a, err := l.Decode(nil, d, sums)
 		if err != nil {
 			t.Fatalf("lookup decode: %v", err)
 		}
-		var b []int
-		if d > 0 {
-			b, err = RecoverSet(d, sums[:d], n)
-			if err != nil {
-				t.Fatalf("newton decode: %v", err)
-			}
+		b, err := RecoverSet(nil, d, sums, n)
+		if err != nil {
+			t.Fatalf("newton decode: %v", err)
 		}
 		sort.Ints(a)
 		if len(a) != d || (d > 0 && !reflect.DeepEqual(a, set)) {
 			t.Fatalf("lookup %v, want %v", a, set)
 		}
-		if d > 0 && !reflect.DeepEqual(b, set) {
+		if len(b) != d || (d > 0 && !reflect.DeepEqual(b, set)) {
 			t.Fatalf("newton %v, want %v", b, set)
 		}
 	}
@@ -250,10 +279,10 @@ func TestLookupMissingSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Decode(1, []*big.Int{big.NewInt(99), big.NewInt(99 * 99)}); err == nil {
+	if _, err := l.Decode(nil, 1, sumsOf(100, 2, []int{99})); err == nil {
 		t.Error("expected miss for out-of-range singleton")
 	}
-	if _, err := l.Decode(3, PowerSums([]int{1, 2, 3}, 2)); err == nil {
+	if _, err := l.Decode(nil, 3, sumsOf(8, 2, []int{1, 2, 3})); err == nil {
 		t.Error("expected error for d > k")
 	}
 }
@@ -261,40 +290,29 @@ func TestLookupMissingSubset(t *testing.T) {
 func TestBinomial(t *testing.T) {
 	cases := []struct {
 		n, k int
-		want int64
+		want int
 	}{
 		{5, 2, 10}, {10, 0, 1}, {10, 10, 1}, {10, 3, 120}, {3, 5, 0}, {7, 1, 7},
+		{100, 99, 100}, {60, 30, 118264581564861424}, {1 << 40, 1, 1 << 40},
 	}
 	for _, c := range cases {
-		if got := Binomial(c.n, c.k).Int64(); got != c.want {
-			t.Errorf("C(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
+		got, err := binomialChecked(c.n, c.k)
+		if c.want > 1<<40 {
+			if err == nil {
+				t.Errorf("C(%d,%d) = %d, want a too-large error", c.n, c.k, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("C(%d,%d) = %d, %v; want %d", c.n, c.k, got, err, c.want)
 		}
 	}
-}
-
-func TestCombinations(t *testing.T) {
-	var all [][]int
-	Combinations(4, 2, func(s []int) bool {
-		all = append(all, append([]int(nil), s...))
-		return true
-	})
-	want := [][]int{{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}}
-	if !reflect.DeepEqual(all, want) {
-		t.Errorf("combinations = %v", all)
+	// Past one word in the intermediate product, and undefined inputs.
+	for _, c := range [][2]int{{1 << 40, 2}, {1<<40 + 1, 1}, {-1, 0}, {4, -1}} {
+		if got, err := binomialChecked(c[0], c[1]); err == nil {
+			t.Errorf("C(%d,%d) = %d, want an error", c[0], c[1], got)
+		}
 	}
-	// Early stop.
-	count := 0
-	Combinations(10, 3, func([]int) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Errorf("early stop visited %d", count)
-	}
-	// Degenerate cases.
-	calls := 0
-	Combinations(3, 0, func(s []int) bool { calls++; return len(s) == 0 })
-	if calls != 1 {
-		t.Errorf("k=0 should yield one empty subset, got %d", calls)
-	}
-	Combinations(2, 3, func([]int) bool { t.Error("k>n should yield nothing"); return false })
 }
 
 func TestFieldArithmetic(t *testing.T) {
@@ -375,13 +393,12 @@ func TestQuickRecoverSmallSets(t *testing.T) {
 				set = append(set, id)
 			}
 		}
-		sums := PowerSums(set, len(set))
-		got, err := RecoverSet(len(set), sums, 50)
+		got, err := RecoverSet(nil, len(set), sumsOf(50, len(set), set), 50)
 		if err != nil {
 			return false
 		}
 		sort.Ints(set)
-		return reflect.DeepEqual(got, set)
+		return len(got) == len(set) && (len(set) == 0 || reflect.DeepEqual(got, set))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

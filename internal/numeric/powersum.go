@@ -1,14 +1,18 @@
 // Package numeric provides the arithmetic behind the paper's degeneracy
 // protocol: power sums of vertex identifiers (the vector b(x) = A(k,n)·x of
 // Algorithm 3), their inversion via Newton's identities (Wright's theorem
-// guarantees uniqueness), the O(n^k) look-up table decoder of Lemma 3, prime
-// fields, and small combinatorial helpers.
+// guarantees uniqueness), the O(n^k) look-up table decoder of Lemma 3, and
+// prime fields.
 //
-// The local phase is fixed-width machine words: PowerSumAccumulator sizes
-// its sums from the public MaxPowerSumBits(n, k), so a node's message costs
-// word multiplies, and no allocation at the (n, k) of every sweep and bench
-// workload. math/big remains only on the referee's side (PowerSums,
-// RecoverSet, Lookup).
+// Both sides of the protocol work in fixed-width machine words:
+// PowerSumAccumulator sizes its sums from the public MaxPowerSumBits(n, k),
+// so a node's message costs word multiplies, and no allocation at the
+// (n, k) of every sweep and bench workload; the referee reads the sums
+// back into accumulators, peels with TryRemove and decodes with RecoverSet
+// (GF(2^61 − 1)) or Lookup (a word-keyed table). math/big remains only in
+// the big.Int references the tests compare against (PowerSums,
+// VandermondeRow, ApplyVandermonde) and in MaxPowerSumBits for (n, p) whose
+// bound passes one word.
 package numeric
 
 import (
@@ -18,7 +22,7 @@ import (
 )
 
 // PowerSums returns the vector (S_1, ..., S_k) with S_p = Σ_{x∈ids} x^p as
-// big integers, the referee-side form that Newton's identities consume. ids
+// big integers: the reference the word arithmetic is tested against. ids
 // need not be sorted; duplicates are the caller's bug and are not detected
 // here.
 func PowerSums(ids []int, k int) []*big.Int {
