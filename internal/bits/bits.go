@@ -208,6 +208,12 @@ func (w *Writer) String() String {
 	return String{data: data, n: w.n}
 }
 
+// Equal reports whether the bits written so far are exactly s, without
+// copying them out.
+func (w *Writer) Equal(s String) bool {
+	return String{data: w.data, n: w.n}.Equal(s)
+}
+
 // Reset clears the writer for reuse, keeping its buffer capacity. Together
 // with AppendTo it lets a hot loop (the batch engine's local phase) emit one
 // String per node with zero steady-state allocations.

@@ -551,3 +551,25 @@ func TestWriterAppendToSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state AppendTo allocated %.1f objects, want 0", allocs)
 	}
 }
+
+// TestWriterEqual: a writer compares its bits with a String in place —
+// after a Reset too, where the buffer still holds longer old bytes — and
+// without allocating.
+func TestWriterEqual(t *testing.T) {
+	var w Writer
+	w.WriteUint(0xFFFF, 16)
+	w.Reset()
+	w.WriteUint(0b101, 3)
+	switch {
+	case !w.Equal(FromBits(1, 0, 1)):
+		t.Error("writer holding 101 is not Equal to 101")
+	case w.Equal(FromBits(1, 0, 0)):
+		t.Error("writer holding 101 is Equal to 100")
+	case w.Equal(FromBits(1, 0, 1, 0)):
+		t.Error("writer holding 101 is Equal to the longer 1010")
+	}
+	s := FromBits(1, 0, 1)
+	if allocs := testing.AllocsPerRun(100, func() { w.Equal(s) }); allocs != 0 {
+		t.Errorf("Writer.Equal allocated %.1f objects, want 0", allocs)
+	}
+}

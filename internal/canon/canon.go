@@ -38,8 +38,9 @@ import (
 
 // MaxN is the largest vertex count the canonical-form routines accept. The
 // class table at n = 10 already holds 12,005,168 classes (A000088(10)) and
-// costs 23,650,063 canonizations to build (minimum-degree extensions of the
-// 274,668 n = 9 classes, counted); n = 11's 1.0·10⁹ classes would not
+// costs 13,163,081 canonizations to build (the extensions of the 274,668
+// n = 9 classes that extendLevel's two rules keep, counted); n = 11's
+// 1.0·10⁹ classes would not
 // fit a reasonable table, so the quotient plane stops where graph.Small's
 // word packing still leaves headroom.
 const MaxN = 10
@@ -140,6 +141,30 @@ type searcher struct {
 	orbit    [MaxN]uint8 // union-find parents: orbits of the automorphisms found
 	autOrder uint64      // Π |orbit of the first child| over finished first-path nodes
 	leaves   int         // leaves visited, which the pruning tests bound
+	gens     *[]perm     // when non-nil, every automorphism found is appended
+}
+
+// perm is a permutation of the 0-based vertices: v maps to perm[v].
+type perm [MaxN]uint8
+
+// appendAutomorphisms runs Canonical's search on validated input and appends
+// to gens every automorphism it finds on the way (the leaf order of the
+// first leaf mapped onto a leaf with the same mask). They generate all of
+// Aut(g): when the first-path node at depth k finishes, every automorphism
+// found so far fixes the vertices individualized above it, so in the group
+// they generate the orbit of the first child under that stabilizer is at
+// least the orbit autOrder multiplies in, and the product of those orbits is
+// |Aut| (TestAutomorphismGenerators closes them). The class generator
+// canonizes each parent this way once; Canonical leaves gens nil.
+func appendAutomorphisms(gens []perm, n int, mask uint64) []perm {
+	if n <= 1 {
+		return gens
+	}
+	var s searcher
+	s.init(n, mask)
+	s.gens = &gens
+	s.search(s.rootPartition(), true)
+	return gens
 }
 
 // partition is an ordered partition of the vertex set: order lists vertices,
@@ -348,6 +373,13 @@ func (s *searcher) leaf(p *partition) bool {
 	case mask == s.first:
 		for i := 0; i < s.n; i++ {
 			s.union(s.firstOrd[i], p.order[i])
+		}
+		if s.gens != nil {
+			var g perm
+			for i := 0; i < s.n; i++ {
+				g[s.firstOrd[i]] = p.order[i]
+			}
+			*s.gens = append(*s.gens, g)
 		}
 		return true
 	case mask < s.best:

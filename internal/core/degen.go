@@ -136,7 +136,7 @@ func (p *DegeneracyProtocol) Reconstruct(n int, msgs []bits.String) (*graph.Grap
 // error formatted from stuck with the vertices left and k, wrapping
 // ErrDegeneracyExceeded — exactly when no elimination order exists,
 // whichever order it takes. The result must re-encode to msgs under local.
-func peel(local engine.Local, n, k int, co bool, dec NeighborhoodDecoder, msgs []bits.String, stuck string) (*graph.Graph, error) {
+func peel(local engine.BufferedLocal, n, k int, co bool, dec NeighborhoodDecoder, msgs []bits.String, stuck string) (*graph.Graph, error) {
 	if len(msgs) != n {
 		return nil, fmt.Errorf("core: %d messages for n=%d", len(msgs), n)
 	}
@@ -271,10 +271,16 @@ func peel(local engine.Local, n, k int, co bool, dec NeighborhoodDecoder, msgs [
 // graph and compares against the received messages. This makes every
 // reconstructor accept exactly the image of its encoder: corrupted or
 // adversarial message vectors either fail during pruning or fail here —
-// never a silent wrong answer.
-func verifyEncoding(local engine.Local, n int, h *graph.Graph, msgs []bits.String) error {
+// never a silent wrong answer. Every vertex is re-encoded into one reused
+// writer from one reused neighbour buffer and compared in place.
+func verifyEncoding(local engine.BufferedLocal, n int, h *graph.Graph, msgs []bits.String) error {
+	var w bits.Writer
+	var nbrs []int
 	for v := 1; v <= n; v++ {
-		if !local.LocalMessage(n, v, h.Neighbors(v)).Equal(msgs[v-1]) {
+		w.Reset()
+		nbrs = h.AppendNeighbors(v, nbrs[:0])
+		local.AppendLocalMessage(&w, n, v, nbrs)
+		if !w.Equal(msgs[v-1]) {
 			return fmt.Errorf("core: message of node %d is not the encoding of the reconstructed graph", v)
 		}
 	}
