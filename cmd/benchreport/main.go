@@ -13,7 +13,8 @@
 //	go run ./cmd/benchreport -pkg .               # root package only
 //
 // Benchmarks outside the module's root package are named with their
-// package path, e.g. internal/canon.BenchmarkExtendLevel/m=9.
+// package path, e.g. internal/canon.BenchmarkExtendLevel/m=9 or
+// internal/sweep.BenchmarkUnitCodec/codec.
 package main
 
 import (
@@ -58,7 +59,7 @@ type Report struct {
 	Results   []Result `json:"results"`
 }
 
-const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkExecuteShard|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkCanonicalFormSymmetric|BenchmarkExtendLevel|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassSourceOpen|BenchmarkReferee|BenchmarkDecoderAblation"
+const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkExecuteShard|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkCanonicalFormSymmetric|BenchmarkExtendLevel|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassSourceOpen|BenchmarkReferee|BenchmarkDecoderAblation|BenchmarkUnitCodec"
 
 // benchLine matches one line of `go test -bench -benchmem` output, e.g.
 // "BenchmarkEnumerate/n=6-8  370  3212515 ns/op  0 B/op  0 allocs/op".
@@ -73,7 +74,7 @@ func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1s", "value passed to go test -benchtime (time-based by default: fixed-count runs like 1x are too noisy to compare)")
 	dir := flag.String("dir", ".", "directory holding BENCH_<date>.json baselines")
-	pkgs := flag.String("pkg", ". ./internal/canon", "space-separated packages to benchmark")
+	pkgs := flag.String("pkg", ". ./internal/canon ./internal/sweep", "space-separated packages to benchmark")
 	dry := flag.Bool("n", false, "run and compare but do not write a new baseline")
 	force := flag.Bool("force", false, "overwrite an existing baseline for today")
 	count := flag.Int("count", 5, "repetitions per benchmark (go test -count); ≥ 2 enables Welch's t-test significance flags on the speedup ratios")

@@ -3,6 +3,8 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"refereenet/internal/bits"
@@ -410,7 +412,7 @@ func TestTheorem5QuotientIndependentCounts(t *testing.T) {
 		want  int // column of theorem5Quotient
 		count uint64
 	}
-	for n := 1; n <= top; n++ {
+	newColumns := func() []*column {
 		cols := []*column{{name: "forest", p: core.ForestProtocol{}, k: 1}}
 		for k := 1; k <= 4; k++ {
 			cols = append(cols, &column{name: fmt.Sprintf("degeneracy k=%d", k), p: &core.DegeneracyProtocol{K: k}, k: k, want: k - 1})
@@ -418,46 +420,73 @@ func TestTheorem5QuotientIndependentCounts(t *testing.T) {
 		for k := 1; k <= 2; k++ {
 			cols = append(cols, &column{name: fmt.Sprintf("generalized k=%d", k), p: &core.GeneralizedDegeneracyProtocol{K: k}, k: k, co: true, want: 3 + k})
 		}
+		return cols
+	}
+	for n := 1; n <= top; n++ {
 		classes, err := canon.Classes(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj := make([][]bool, n)
-		for i := range adj {
-			adj[i] = make([]bool, n)
-		}
-		msgs, nbrs := make([]bits.String, n), make([][]int, n+1)
-		var w bits.Writer
-		var arena []byte
-		for _, c := range classes {
-			for e := 0; e < n*(n-1)/2; e++ {
-				u, v := graph.EdgePair(n, e)
-				on := c.Mask>>uint(e)&1 == 1
-				adj[u-1][v-1], adj[v-1][u-1] = on, on
-			}
-			g := graph.FromEdgeMask(n, c.Mask)
-			for v := 1; v <= n; v++ {
-				nbrs[v] = g.Neighbors(v)
-			}
-			for _, col := range cols {
-				arena = arena[:0]
-				for v := 1; v <= n; v++ {
-					w.Reset()
-					col.p.AppendLocalMessage(&w, n, v, nbrs[v])
-					msgs[v-1], arena = w.AppendTo(arena)
+		// The classes are dealt round-robin to one worker per core, each
+		// with its own columns, adjacency, messages, arena and writer; a
+		// worker reports its first failure with t.Errorf and stops.
+		workers := min(runtime.GOMAXPROCS(0), len(classes))
+		parts := make([][]*column, workers)
+		var wg sync.WaitGroup
+		for wk := range parts {
+			cols := newColumns()
+			parts[wk] = cols
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				adj := make([][]bool, n)
+				for i := range adj {
+					adj[i] = make([]bool, n)
 				}
-				h, err := col.p.Reconstruct(n, msgs)
-				switch ok := peelBrute(adj, col.k, col.co); {
-				case ok && (err != nil || !h.Equal(g)):
-					t.Fatalf("n=%d %s mask %#x: brute force peels it, referee: %v", n, col.name, c.Mask, err)
-				case !ok && !errors.Is(err, core.ErrDegeneracyExceeded):
-					t.Fatalf("n=%d %s mask %#x: brute force gets stuck, referee: %v", n, col.name, c.Mask, err)
-				case ok:
-					col.count += c.Weight
+				msgs, nbrs := make([]bits.String, n), make([][]int, n+1)
+				var w bits.Writer
+				var arena []byte
+				for i := wk; i < len(classes); i += workers {
+					c := classes[i]
+					for e := 0; e < n*(n-1)/2; e++ {
+						u, v := graph.EdgePair(n, e)
+						on := c.Mask>>uint(e)&1 == 1
+						adj[u-1][v-1], adj[v-1][u-1] = on, on
+					}
+					g := graph.FromEdgeMask(n, c.Mask)
+					for v := 1; v <= n; v++ {
+						nbrs[v] = g.Neighbors(v)
+					}
+					for _, col := range cols {
+						arena = arena[:0]
+						for v := 1; v <= n; v++ {
+							w.Reset()
+							col.p.AppendLocalMessage(&w, n, v, nbrs[v])
+							msgs[v-1], arena = w.AppendTo(arena)
+						}
+						h, err := col.p.Reconstruct(n, msgs)
+						switch ok := peelBrute(adj, col.k, col.co); {
+						case ok && (err != nil || !h.Equal(g)):
+							t.Errorf("n=%d %s mask %#x: brute force peels it, referee: %v", n, col.name, c.Mask, err)
+							return
+						case !ok && !errors.Is(err, core.ErrDegeneracyExceeded):
+							t.Errorf("n=%d %s mask %#x: brute force gets stuck, referee: %v", n, col.name, c.Mask, err)
+							return
+						case ok:
+							col.count += c.Weight
+						}
+					}
 				}
-			}
+			}()
 		}
-		for _, col := range cols {
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for i, col := range newColumns() {
+			for _, cols := range parts {
+				col.count += cols[i].count
+			}
 			if want := theorem5Quotient[n-1][col.want]; col.count != want {
 				t.Errorf("n=%d %s: %d, want %d", n, col.name, col.count, want)
 			}

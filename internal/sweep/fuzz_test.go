@@ -33,6 +33,11 @@ func FuzzServeUnits(f *testing.F) {
 	f.Add(append(append(append([]byte{}, greet...), '\n'), unit...)) // blank line between frames
 	f.Add(append(append([]byte{}, greet...), "{\"id\":1,\"spec\":"...))
 	f.Add(append(append([]byte{}, greet...), "not json\n"...))
+	// Valid but non-canonical unit lines: the codec's json.Unmarshal fallback.
+	f.Add(append(append([]byte{}, greet...),
+		"{\"spec\":{\"source\":{\"hi\":32,\"kind\":\"gray\",\"n\":5},\"protocol\":\"hash16\"},\"id\":3}\n"...))
+	f.Add(append(append([]byte{}, greet...),
+		"{ \"id\": 3, \"spec\": { \"protocol\": \"hash16\", \"config\": {}, \"source\": { \"kind\": \"gray\", \"n\": 5, \"hi\": 32 } } }\n"...))
 	f.Add(line(foreign))
 	f.Add(line(future))
 	f.Add([]byte("{\"magic\":\"http-not-sweep\"}\n"))

@@ -38,8 +38,9 @@ func Fingerprint(plan engine.Plan) (string, error) {
 // mutex-guarded so the manifest stays safe to share between goroutines; the
 // coordinator records from its accounting goroutine only.
 type manifest struct {
-	mu sync.Mutex
-	f  *os.File
+	mu    sync.Mutex
+	f     *os.File
+	codec wireCodec // guarded by mu
 }
 
 // openManifest opens or creates the manifest at path for the given plan and
@@ -93,9 +94,10 @@ func openManifest(path string, plan engine.Plan) (*manifest, map[int]engine.Batc
 	if header.Units != len(plan.Shards) {
 		return nil, nil, fmt.Errorf("sweep: manifest %s records %d units, plan has %d", path, header.Units, len(plan.Shards))
 	}
+	var codec wireCodec
 	for sc.Scan() {
-		var res Result
-		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+		res, err := codec.decodeResult(sc.Bytes())
+		if err != nil {
 			// An unparseable record — a torn final line from a crash
 			// mid-append, or a garbled interior line from disk trouble.
 			// Skip it (that unit is simply re-run) rather than stopping:
@@ -127,18 +129,20 @@ func openManifest(path string, plan engine.Plan) (*manifest, map[int]engine.Batc
 }
 
 // record appends one completed unit and syncs, so a kill immediately after
-// cannot lose the checkpoint.
+// cannot lose the checkpoint. The line is the wire's Result line — the
+// codec writes json.Marshal's bytes into the manifest's reused buffer — so
+// a manifest reads back through the same decoder as a daemon's reply.
 func (m *manifest) record(res Result) error {
 	if m == nil {
 		return nil
 	}
-	buf, err := json.Marshal(res)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	line, err := m.codec.result(res)
 	if err != nil {
 		return fmt.Errorf("sweep: encode checkpoint: %w", err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.f.Write(append(buf, '\n')); err != nil {
+	if _, err := m.f.Write(line); err != nil {
 		return fmt.Errorf("sweep: append checkpoint: %w", err)
 	}
 	if err := m.f.Sync(); err != nil {

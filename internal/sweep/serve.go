@@ -3,7 +3,6 @@ package sweep
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -189,34 +188,33 @@ func Serve(l net.Listener, opts ServeOptions) error {
 }
 
 // serveUnits is the worker half of the line protocol on one connection: it
-// reads one Unit per line, executes it, and writes one Result line, flushed
-// per unit so the coordinator sees completions immediately. A spec that
-// fails to resolve or execute produces a Result with Err set — the
+// reads one Unit per line, executes it, and writes one Result line per unit,
+// in a single write so the coordinator sees completions immediately. Both
+// directions go through one wireCodec: a canonical unit line decodes without
+// reflection, any other valid JSON through json.Unmarshal, and the result
+// line is json.Marshal's bytes built in the codec's reused buffer. A spec
+// that fails to resolve or execute produces a Result with Err set — the
 // connection stays alive for the next unit. It reuses the handshake's
 // scanner, so a unit line the coordinator pipelined right behind its hello
 // is not lost in the scanner's buffer, and returns when the coordinator
 // hangs up or on an unrecoverable stream error.
 func serveUnits(in *bufio.Scanner, w io.Writer, exec func(Unit) Result) error {
-	out := bufio.NewWriter(w)
+	var codec wireCodec
 	for in.Scan() {
 		line := in.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var u Unit
-		if err := json.Unmarshal(line, &u); err != nil {
+		u, err := codec.decodeUnit(line)
+		if err != nil {
 			return fmt.Errorf("sweep: malformed unit line: %w", err)
 		}
-		buf, err := json.Marshal(exec(u))
+		out, err := codec.result(exec(u))
 		if err != nil {
 			return fmt.Errorf("sweep: encode result: %w", err)
 		}
-		buf = append(buf, '\n')
-		if _, err := out.Write(buf); err != nil {
+		if _, err := w.Write(out); err != nil {
 			return fmt.Errorf("sweep: write result: %w", err)
-		}
-		if err := out.Flush(); err != nil {
-			return fmt.Errorf("sweep: flush result: %w", err)
 		}
 	}
 	return in.Err()

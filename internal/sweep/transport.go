@@ -96,10 +96,16 @@ func (InProcess) Close() error { return nil }
 const maxLineBytes = 1 << 20
 
 // lineConn implements Conn over a newline-delimited JSON byte stream: the
-// TCP transport's round-trip engine, and the daemon side's reader.
+// TCP transport's round-trip engine, and the daemon side's reader. The
+// handshake goes through enc (encoding/json); units and results go through
+// the connection's wireCodec, whose reused buffer makes one write per unit
+// and whose decoder reads the canonical Result line without reflection,
+// falling back to json.Unmarshal for any other valid JSON.
 type lineConn struct {
 	enc     *json.Encoder
+	w       io.Writer
 	in      *bufio.Scanner
+	codec   wireCodec
 	closeFn func() error
 	addr    string // daemon endpoint; "" on the daemon side
 }
@@ -112,11 +118,15 @@ func (c *lineConn) Endpoint() string { return c.addr }
 func newLineConn(r io.Reader, w io.Writer) *lineConn {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	return &lineConn{enc: json.NewEncoder(w), in: sc}
+	return &lineConn{enc: json.NewEncoder(w), w: w, in: sc}
 }
 
 func (c *lineConn) RoundTrip(u Unit) (Result, error) {
-	if err := c.enc.Encode(u); err != nil {
+	line, err := c.codec.unit(u)
+	if err != nil {
+		return Result{}, fmt.Errorf("send unit: %w", err)
+	}
+	if _, err := c.w.Write(line); err != nil {
 		return Result{}, fmt.Errorf("send unit: %w", err)
 	}
 	if !c.in.Scan() {
@@ -125,8 +135,8 @@ func (c *lineConn) RoundTrip(u Unit) (Result, error) {
 		}
 		return Result{}, fmt.Errorf("worker closed stream mid-unit")
 	}
-	var res Result
-	if err := json.Unmarshal(c.in.Bytes(), &res); err != nil {
+	res, err := c.codec.decodeResult(c.in.Bytes())
+	if err != nil {
 		return Result{}, fmt.Errorf("malformed result line: %w", err)
 	}
 	if res.ID != u.ID {
