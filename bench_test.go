@@ -376,22 +376,67 @@ func BenchmarkExecuteShard(b *testing.B) {
 // call on its slot's goroutine), merge (BatchStats.Merge over completion
 // order). One op sweeps all 32 768 labelled n = 6 graphs; the delta against
 // BenchmarkRunBatch's gray variants is the coordination overhead a local
-// sweep pays on top of the raw batch engine.
+// sweep pays on top of the raw batch engine. The w=N rows split the space
+// into 4·N units; the units=320 row is the units-n6 workload's shape, 320
+// one-block units on 2 slots.
 func BenchmarkSweepLocal(b *testing.B) {
+	type row struct {
+		name           string
+		units, workers int
+	}
+	var rows []row
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("hash16/n=6/w=%d", workers), func(b *testing.B) {
-			plan, err := sweep.SplitGrayRanks(engine.ShardSpec{Protocol: "hash16"}, 6, 0, 1<<15, 4*workers)
+		rows = append(rows, row{fmt.Sprintf("hash16/n=6/w=%d", workers), 4 * workers, workers})
+	}
+	rows = append(rows, row{"hash16/n=6/units=320/w=2", 320, 2})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			plan, err := sweep.SplitGrayRanks(engine.ShardSpec{Protocol: "hash16"}, 6, 0, 1<<15, r.units)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := sweep.Run(plan, sweep.Options{Workers: workers})
+				rep, err := sweep.Run(plan, sweep.Options{Workers: r.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if rep.Stats.Graphs != 1<<15 {
 					b.Fatalf("swept %d graphs", rep.Stats.Graphs)
+				}
+			}
+		})
+	}
+}
+
+// echoTransport answers every unit at once with an empty Result: a worker
+// that does no work, so a sweep over it costs only the coordinator.
+type echoTransport struct{}
+
+func (echoTransport) Name() string                { return "echo" }
+func (t echoTransport) Dial() (sweep.Conn, error) { return t, nil }
+func (echoTransport) RoundTrip(u sweep.Unit) (sweep.Result, error) {
+	return sweep.Result{ID: u.ID}, nil
+}
+func (echoTransport) Close() error { return nil }
+
+// BenchmarkCoordinator is the coordinator layer alone: sweep.Run over a
+// transport that does no work, so an op is queueing, dispatch, accounting
+// and merge for every unit of the plan on 2 slots. ns/op over the unit
+// count is the coordinator's per-unit cost, and allocs/op must not grow
+// with the plan.
+func BenchmarkCoordinator(b *testing.B) {
+	for _, units := range []int{32, 320, 3200} {
+		b.Run(fmt.Sprintf("units=%d/w=2", units), func(b *testing.B) {
+			plan := engine.Plan{Shards: make([]engine.ShardSpec, units)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := sweep.Run(plan, sweep.Options{Workers: 2, Transport: echoTransport{}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Executed != units {
+					b.Fatalf("executed %d units, want %d", rep.Executed, units)
 				}
 			}
 		})

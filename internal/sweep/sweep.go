@@ -84,7 +84,9 @@ type Options struct {
 	Dial []string
 	// Transport, when non-nil, overrides Dial: every slot dials through it.
 	// It is the extension point for custom couplings — InProcess over the
-	// caller's Executor, tests injecting failing transports.
+	// caller's Executor, tests injecting failing transports. A Result whose
+	// ID differs from its Unit's is a transport failure: the unit is
+	// charged, and the slot closes the connection and redials.
 	Transport Transport
 	// Retries is how many times a failed unit is re-dispatched before the
 	// sweep is declared failed. Worker death counts as a failure of the
@@ -211,32 +213,31 @@ func Run(plan engine.Plan, opts Options) (SweepReport, error) {
 	if opts.Chaos != nil {
 		tr = NewChaosTransport(tr, *opts.Chaos)
 	}
-	mf, done, err := openManifest(opts.Manifest, plan)
+	mf, restored, err := openManifest(opts.Manifest, plan)
 	if err != nil {
 		return SweepReport{}, err
 	}
 	defer mf.close()
 
-	rep := SweepReport{Units: len(plan.Shards), Restored: len(done)}
-	units := make([]Unit, 0, len(plan.Shards))
-	for id, spec := range plan.Shards {
-		if st, ok := done[id]; ok {
-			rep.Stats.Merge(st)
-			continue
-		}
-		units = append(units, Unit{ID: id, Spec: spec})
+	rep := SweepReport{Units: len(plan.Shards), Restored: len(restored)}
+	state := make([]unitState, len(plan.Shards))
+	for id, st := range restored {
+		rep.Stats.Merge(st)
+		state[id].done = true
 	}
+	todo := rep.Units - rep.Restored
 	logf(opts.Log, "sweep: %d units (%d restored from manifest) over %d workers via %s",
-		len(units), len(done), workers, tr.Name())
+		todo, rep.Restored, workers, tr.Name())
 	if opts.Progress != nil && rep.Restored > 0 {
 		opts.Progress(rep.Restored, rep.Units)
 	}
-	if len(units) == 0 {
+	if todo == 0 {
 		return rep, nil
 	}
 
-	c := &coordinator{opts: opts, transport: tr, workers: workers, breaker: br, mf: mf, rep: &rep}
-	err = c.run(units)
+	c := &coordinator{opts: opts, transport: tr, workers: workers, breaker: br, mf: mf, rep: &rep,
+		shards: plan.Shards, state: state}
+	err = c.run(todo)
 	rep.DeadlineKills = int(c.deadlineKills.Load())
 	rep.BreakerTrips = int(br.Trips())
 	logf(opts.Log,
@@ -246,16 +247,29 @@ func Run(plan engine.Plan, opts Options) (SweepReport, error) {
 	return rep, err
 }
 
-// dispatch is one trip of a unit through a worker slot. A unit can have at
-// most two dispatches alive at once: the original (or its requeue) plus one
-// hedge — the invariant that bounds the work channel.
+// unitState is one plan unit's accounting, kept in a slice indexed by plan
+// ID that only run's goroutine touches. It holds no pointers, so the slice
+// is one allocation the garbage collector never scans.
+type unitState struct {
+	pending int32 // queued + in-flight dispatches
+	tries   int32 // failed dispatches charged to the retry budget
+	done    bool  // merged, restored or permanently failed
+	hedged  bool  // a hedge has been launched
+}
+
+// dispatch is one trip of a unit through a worker slot, named by its plan
+// ID: the slot builds the Unit from the plan only when it sends it. A unit
+// can have at most two dispatches alive at once: the original (or its
+// requeue) plus one hedge — the invariant that bounds the work channel.
 type dispatch struct {
-	u     Unit
+	id    int
 	hedge bool
 }
 
-// outcome is one dispatch's terminal report back to the receive loop. Every
-// dispatch taken off the work channel produces exactly one outcome.
+// outcome is one dispatch's terminal report back to the accounting loop.
+// Every dispatch taken off the work channel produces exactly one outcome,
+// and its res.ID is always the dispatch's plan ID: a slot turns a result
+// that names another unit into a transport failure of its own unit.
 type outcome struct {
 	res   Result
 	hedge bool
@@ -273,11 +287,12 @@ type coordinator struct {
 	// writes it; the slots count deadline kills in deadlineKills instead.
 	rep           *SweepReport
 	deadlineKills atomic.Int64
+	shards        []engine.ShardSpec // the plan, read-only; slots build Units from it
+	state         []unitState        // per plan ID; run's goroutine only
 	work          chan dispatch
 	results       chan outcome
 	hedgeReq      chan int
 	stopped       atomic.Bool
-	byID          map[int]Unit
 }
 
 func logf(w io.Writer, format string, args ...interface{}) {
@@ -293,26 +308,26 @@ func (c *coordinator) progress() {
 	}
 }
 
-// run executes units across the worker slots and merges their stats into
-// c.rep. Accounting lives entirely in this goroutine: slots report
-// one outcome per dispatch, hedge requests arrive over their own channel,
-// and the pending/done/tries maps decide merging, requeueing and
+// run executes the outstanding units (those not done in c.state) across the
+// worker slots and merges their stats into c.rep. Accounting lives entirely
+// in this goroutine: slots report one outcome per dispatch, hedge requests
+// arrive over their own channel, and each unit's state entry (pending
+// dispatches, tries, done, hedged) decides merging, requeueing and
 // termination. A unit is merged (and checkpointed) exactly once — late
 // duplicate results, hedge losers included, are discarded by ID.
-func (c *coordinator) run(units []Unit) error {
+func (c *coordinator) run(outstanding int) error {
 	// Capacity bound: a unit has at most two dispatches alive at any moment
-	// (original/requeue + one hedge), so 2·len(units) queued entries can
+	// (original/requeue + one hedge), so 2·outstanding queued entries can
 	// never be exceeded and neither requeues nor hedges can block this
 	// goroutine against slots blocked on the results channel.
-	c.work = make(chan dispatch, 2*len(units))
+	c.work = make(chan dispatch, 2*outstanding)
 	c.results = make(chan outcome, c.workers+1)
 	c.hedgeReq = make(chan int, c.workers+1)
-	c.byID = make(map[int]Unit, len(units))
-	pending := make(map[int]int, len(units)) // queued + in-flight dispatches per unit
-	for _, u := range units {
-		c.byID[u.ID] = u
-		pending[u.ID] = 1
-		c.work <- dispatch{u: u}
+	for id := range c.state {
+		if !c.state[id].done {
+			c.state[id].pending = 1
+			c.work <- dispatch{id: id}
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -325,28 +340,27 @@ func (c *coordinator) run(units []Unit) error {
 	}
 
 	rep := c.rep
-	tries := make(map[int]int)
-	done := make(map[int]bool)
-	hedged := make(map[int]bool)
 	var firstErr error
-	for outstanding := len(units); outstanding > 0; {
+	for outstanding > 0 {
 		select {
 		case id := <-c.hedgeReq:
-			if done[id] || hedged[id] {
+			s := &c.state[id]
+			if s.done || s.hedged {
 				continue
 			}
 			select {
-			case c.work <- dispatch{u: c.byID[id], hedge: true}:
-				hedged[id] = true
-				pending[id]++
+			case c.work <- dispatch{id: id, hedge: true}:
+				s.hedged = true
+				s.pending++
 				rep.Hedges++
 				logf(c.opts.Log, "sweep: hedging straggler unit %d", id)
 			default:
 			}
 		case o := <-c.results:
 			id := o.res.ID
-			pending[id]--
-			if done[id] {
+			s := &c.state[id]
+			s.pending--
+			if s.done {
 				// The losing half of a hedge pair, or a duplicate
 				// execution after a lost result: the unit was already
 				// merged exactly once, this result merges zero times.
@@ -354,7 +368,7 @@ func (c *coordinator) run(units []Unit) error {
 				continue
 			}
 			if o.res.Err == "" {
-				done[id] = true
+				s.done = true
 				if err := c.mf.record(o.res); err != nil && firstErr == nil {
 					firstErr = err
 				}
@@ -367,33 +381,33 @@ func (c *coordinator) run(units []Unit) error {
 				c.progress()
 				continue
 			}
-			tries[id]++
+			s.tries++
 			rep.Retries++
-			if tries[id] > c.opts.Retries {
-				if pending[id] > 0 {
+			if int(s.tries) > c.opts.Retries {
+				if s.pending > 0 {
 					// A twin dispatch is still in flight and may yet
 					// succeed; don't declare the unit dead while a
 					// result could still arrive.
 					continue
 				}
 				if firstErr == nil {
-					firstErr = fmt.Errorf("sweep: unit %d failed after %d attempts: %s", id, tries[id], o.res.Err)
+					firstErr = fmt.Errorf("sweep: unit %d failed after %d attempts: %s", id, s.tries, o.res.Err)
 				}
 				logf(c.opts.Log, "sweep: unit %d failed permanently: %s", id, o.res.Err)
-				done[id] = true
+				s.done = true
 				rep.Failed++
 				outstanding--
 				c.progress()
 				continue
 			}
-			if pending[id] > 0 {
+			if s.pending > 0 {
 				// The twin is still out; requeue only if it fails too.
 				continue
 			}
-			logf(c.opts.Log, "sweep: retrying unit %d (attempt %d): %s", id, tries[id]+1, o.res.Err)
-			pending[id]++
+			logf(c.opts.Log, "sweep: retrying unit %d (attempt %d): %s", id, s.tries+1, o.res.Err)
+			s.pending++
 			rep.Requeues++
-			c.work <- dispatch{u: c.byID[id]}
+			c.work <- dispatch{id: id}
 		}
 	}
 	c.stopped.Store(true)
@@ -405,7 +419,7 @@ func (c *coordinator) run(units []Unit) error {
 		close(c.results)
 	}()
 	for o := range c.results {
-		if done[o.res.ID] && o.res.Err == "" {
+		if c.state[o.res.ID].done && o.res.Err == "" {
 			rep.Duplicates++
 		}
 	}
@@ -451,27 +465,30 @@ func (c *coordinator) noteConn(conn Conn, ok bool) {
 // errUnitDeadline marks dispatches killed by Options.UnitTimeout.
 var errUnitDeadline = errors.New("unit deadline exceeded")
 
-// attempt runs one dispatch's round-trip, arming the hedge and deadline
-// timers when configured. A deadline kill abandons the round-trip: the
-// connection then has a dead unit in flight whose eventual reply would
-// desync the framing, so the caller must close it and redial.
-func (c *coordinator) attempt(conn Conn, d dispatch) (Result, error) {
+// attempt runs one unit's round-trip, arming the hedge and deadline timers
+// when configured. A deadline kill abandons the round-trip: the connection
+// then has a dead unit in flight whose eventual reply would desync the
+// framing, so the caller must close it and redial.
+func (c *coordinator) attempt(conn Conn, u Unit, hedge bool) (Result, error) {
 	deadline := c.opts.UnitTimeout
 	hedgeAfter := c.opts.Hedge
-	if deadline <= 0 && (hedgeAfter <= 0 || d.hedge) {
-		return conn.RoundTrip(d.u)
+	if deadline <= 0 && (hedgeAfter <= 0 || hedge) {
+		return conn.RoundTrip(u)
 	}
+	// The round-trip goroutine gets its own copy of the unit, so only this
+	// branch moves one to the heap.
+	unit := u
 	type rt struct {
 		res Result
 		err error
 	}
 	ch := make(chan rt, 1)
 	go func() {
-		res, err := conn.RoundTrip(d.u)
+		res, err := conn.RoundTrip(unit)
 		ch <- rt{res, err}
 	}()
 	var hedgeC, deadlineC <-chan time.Time
-	if hedgeAfter > 0 && !d.hedge {
+	if hedgeAfter > 0 && !hedge {
 		t := time.NewTimer(hedgeAfter)
 		defer t.Stop()
 		hedgeC = t.C
@@ -488,7 +505,7 @@ func (c *coordinator) attempt(conn Conn, d dispatch) (Result, error) {
 		case <-hedgeC:
 			hedgeC = nil
 			select {
-			case c.hedgeReq <- d.u.ID:
+			case c.hedgeReq <- u.ID:
 			default:
 			}
 		case <-deadlineC:
@@ -521,7 +538,7 @@ func (c *coordinator) slotLoop(slot int) {
 			if c.stopped.Load() {
 				continue
 			}
-			c.results <- outcome{res: Result{ID: d.u.ID, Err: fmt.Sprintf("dial worker: %v", err)}, hedge: d.hedge}
+			c.results <- outcome{res: Result{ID: d.id, Err: fmt.Sprintf("dial worker: %v", err)}, hedge: d.hedge}
 			continue
 		}
 		broken := false
@@ -529,10 +546,15 @@ func (c *coordinator) slotLoop(slot int) {
 			if c.stopped.Load() {
 				continue
 			}
-			res, err := c.attempt(conn, d)
+			res, err := c.attempt(conn, Unit{ID: d.id, Spec: c.shards[d.id]}, d.hedge)
+			if err == nil && res.ID != d.id {
+				// A reply for another unit leaves this one unanswered and
+				// the stream out of step: fail it like a dropped connection.
+				err = fmt.Errorf("result for unit %d, expected %d", res.ID, d.id)
+			}
 			if err != nil {
 				c.noteConn(conn, false)
-				c.results <- outcome{res: Result{ID: d.u.ID, Err: fmt.Sprintf("worker slot %d: %v", slot, err)}, hedge: d.hedge}
+				c.results <- outcome{res: Result{ID: d.id, Err: fmt.Sprintf("worker slot %d: %v", slot, err)}, hedge: d.hedge}
 				broken = true
 				break
 			}

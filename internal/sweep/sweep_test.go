@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"refereenet/internal/collide"
 	"refereenet/internal/corpus"
@@ -602,5 +603,114 @@ func TestSweepProgressHook(t *testing.T) {
 	}
 	if len(calls) != 1 || calls[0] != [2]int{units, units} {
 		t.Errorf("resumed run progress calls %v, want one (%d,%d) call", calls, units, units)
+	}
+}
+
+// wrongIDTransport executes units in process but answers unit 0 with a
+// Result for unit 1 on its first `wrong` round trips.
+type wrongIDTransport struct {
+	wrong  int32
+	dials  atomic.Int32
+	misled atomic.Int32
+}
+
+func (w *wrongIDTransport) Name() string { return "wrong-id" }
+
+func (w *wrongIDTransport) Dial() (Conn, error) {
+	w.dials.Add(1)
+	return wrongIDConn{w}, nil
+}
+
+type wrongIDConn struct{ w *wrongIDTransport }
+
+func (c wrongIDConn) RoundTrip(u Unit) (Result, error) {
+	res, err := InProcess{}.RoundTrip(u)
+	if u.ID == 0 && c.w.misled.Add(1) <= c.w.wrong {
+		res.ID = 1
+	}
+	return res, err
+}
+
+func (wrongIDConn) Close() error { return nil }
+
+// A Result naming another unit is a transport failure of the unit that was
+// sent: it is charged and retried on a redialed connection, and Run returns
+// instead of waiting forever for the unanswered unit.
+func TestRunWrongResultID(t *testing.T) {
+	const n, units = 5, 4
+	plan := grayPlan(t, "hash16", n, units, false)
+	want := monolithic(t, "hash16", n, false)
+	run := func(tr Transport, retries int) (SweepReport, error) {
+		type ret struct {
+			rep SweepReport
+			err error
+		}
+		ch := make(chan ret, 1)
+		go func() {
+			rep, err := Run(plan, Options{Workers: 1, Transport: tr, Retries: retries})
+			ch <- ret{rep, err}
+		}()
+		select {
+		case r := <-ch:
+			return r.rep, r.err
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run did not return within 10 s of a result with the wrong ID")
+			return SweepReport{}, nil
+		}
+	}
+
+	// Every answer for unit 0 names unit 1: unit 0 fails permanently and
+	// the other three are merged once each.
+	always := &wrongIDTransport{wrong: math.MaxInt32}
+	rep, err := run(always, 0)
+	if err == nil || !strings.Contains(err.Error(), "result for unit 1, expected 0") {
+		t.Errorf("Run error %v, want a failure of unit 0 naming the wrong ID", err)
+	}
+	if rep.Failed != 1 || rep.Executed != units-1 || rep.Duplicates != 0 {
+		t.Errorf("report %+v, want 1 failed, %d executed, no duplicates", rep, units-1)
+	}
+	if d := always.dials.Load(); d != 2 {
+		t.Errorf("%d dials, want 2: the slot must redial after the wrong ID", d)
+	}
+
+	// One wrong answer, one retry: the sweep heals to the monolithic stats.
+	once := &wrongIDTransport{wrong: 1}
+	rep, err = run(once, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats != want || rep.Retries != 1 || rep.Requeues != 1 || rep.Executed != units {
+		t.Errorf("report %+v, want stats %+v after 1 retry and 1 requeue", rep, want)
+	}
+}
+
+// echoTransport answers every unit at once with an empty Result: a worker
+// that does no work, so a sweep over it costs only the coordinator.
+type echoTransport struct{}
+
+func (echoTransport) Name() string                     { return "echo" }
+func (t echoTransport) Dial() (Conn, error)            { return t, nil }
+func (echoTransport) RoundTrip(u Unit) (Result, error) { return Result{ID: u.ID}, nil }
+func (echoTransport) Close() error                     { return nil }
+
+// The coordinator's allocations do not grow with the plan: the unit state
+// slice and the work queue's buffer are one allocation each at any size,
+// and a dispatch allocates nothing.
+func TestRunAllocsFlatInPlanSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	allocs := func(units int) float64 {
+		plan := engine.Plan{Shards: make([]engine.ShardSpec, units)}
+		return testing.AllocsPerRun(10, func() {
+			rep, err := Run(plan, Options{Workers: 2, Transport: echoTransport{}})
+			if err != nil || rep.Executed != units {
+				t.Fatalf("Run over %d units: executed %d, err %v", units, rep.Executed, err)
+			}
+		})
+	}
+	small, large := allocs(320), allocs(3200)
+	if large-small > 2 {
+		t.Errorf("Run allocates %.0f times over 320 units and %.0f over 3,200; want at most 2 more", small, large)
 	}
 }

@@ -139,9 +139,6 @@ func (c *lineConn) RoundTrip(u Unit) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("malformed result line: %w", err)
 	}
-	if res.ID != u.ID {
-		return Result{}, fmt.Errorf("result for unit %d, expected %d", res.ID, u.ID)
-	}
 	return res, nil
 }
 
